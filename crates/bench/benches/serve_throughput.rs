@@ -26,7 +26,7 @@ use cla_cfront::{MemoryFs, PpOptions};
 use cla_cladb::{link, write_object, Database};
 use cla_core::{SealedGraph, SolveOptions, Warm};
 use cla_ir::{compile_file, LowerOptions, ObjId};
-use cla_serve::{serve, Session};
+use cla_serve::{serve, Session, SessionSource, SessionSpec};
 use cla_workload::{by_name, generate, GenOptions};
 
 static SOCKET_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -57,14 +57,18 @@ fn sample_fs() -> (MemoryFs, Vec<String>) {
 }
 
 fn sample_session(fs: &MemoryFs, files: &[String]) -> Session {
-    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
-    Session::from_files(
-        fs,
-        &refs,
-        &PpOptions::default(),
-        &LowerOptions::default(),
-        SolveOptions::default(),
-    )
+    Session::open(&SessionSpec {
+        source: SessionSource::Files {
+            fs: Arc::new(fs.clone()),
+            files: files.to_vec(),
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: false,
+        },
+        solve: SolveOptions::default(),
+        snapshot_dir: None,
+        jobs: 1,
+    })
     .unwrap()
 }
 

@@ -49,40 +49,63 @@ pub struct ParsedUnit {
 ///
 /// Propagates lexical, preprocessing, and parse errors.
 pub fn parse_file(fs: &dyn FileProvider, path: &str, opts: &PpOptions) -> Result<ParsedUnit> {
+    let pre = preprocess_file(fs, path, opts)?;
+    parse_preprocessed(pre, path, opts)
+}
+
+/// The front half of [`parse_file`]: preprocesses one file under the `pp`
+/// span. A caller that needs the preprocessed closure first (to key a
+/// cache on it) continues with [`parse_preprocessed`] instead of
+/// preprocessing twice.
+///
+/// # Errors
+///
+/// Propagates lexical and preprocessing errors.
+pub fn preprocess_file(
+    fs: &dyn FileProvider,
+    path: &str,
+    opts: &PpOptions,
+) -> Result<Preprocessed> {
     let obs = cla_obs::global();
-    let pre = {
-        let mut sp = obs.span("front", "pp");
-        sp.set("file", path);
-        let pre = match pp::preprocess(fs, path, opts) {
-            Ok(pre) => pre,
-            Err(e) => {
-                obs.counter("cla_front_diagnostics_total").inc();
-                return Err(e);
-            }
-        };
-        sp.set("files_read", pre.stats.files_read);
-        sp.set("tokens", pre.stats.tokens_out);
-        sp.set("macro_expansions", pre.stats.macro_expansions);
-        pre
+    let mut sp = obs.span("front", "pp");
+    sp.set("file", path);
+    let pre = match pp::preprocess(fs, path, opts) {
+        Ok(pre) => pre,
+        Err(e) => {
+            obs.counter("cla_front_diagnostics_total").inc();
+            return Err(e);
+        }
     };
+    sp.set("files_read", pre.stats.files_read);
+    sp.set("tokens", pre.stats.tokens_out);
+    sp.set("macro_expansions", pre.stats.macro_expansions);
+    Ok(pre)
+}
+
+/// The back half of [`parse_file`]: counts the file into the
+/// `cla_front_*` totals and parses its tokens under the `parse` span.
+///
+/// # Errors
+///
+/// Propagates parse errors.
+pub fn parse_preprocessed(pre: Preprocessed, path: &str, opts: &PpOptions) -> Result<ParsedUnit> {
+    let obs = cla_obs::global();
     obs.counter("cla_front_files_total").inc();
     obs.counter("cla_front_bytes_total").add(pre.stats.bytes_in);
     obs.counter("cla_front_tokens_total")
         .add(pre.stats.tokens_out as u64);
     obs.counter("cla_front_macro_expansions_total")
         .add(pre.stats.macro_expansions as u64);
-    let tu = {
-        let mut sp = obs.span("front", "parse");
-        sp.set("file", path);
-        match parser::parse_with(pre.tokens, path, &opts.limits) {
-            Ok(tu) => {
-                sp.set("items", tu.items.len());
-                tu
-            }
-            Err(e) => {
-                obs.counter("cla_front_diagnostics_total").inc();
-                return Err(e);
-            }
+    let mut sp = obs.span("front", "parse");
+    sp.set("file", path);
+    let tu = match parser::parse_with(pre.tokens, path, &opts.limits) {
+        Ok(tu) => {
+            sp.set("items", tu.items.len());
+            tu
+        }
+        Err(e) => {
+            obs.counter("cla_front_diagnostics_total").inc();
+            return Err(e);
         }
     };
     Ok(ParsedUnit {

@@ -10,7 +10,10 @@ use crate::pretransitive::{solve_database, SealedGraph, SolveOptions, SolveStats
 use crate::solution::PointsTo;
 use cla_cfront::{CError, FileProvider, PpOptions, Preprocessed};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkStats, LoadStats, StreamLinker};
-use cla_ir::{compile_file, AssignCounts, CompileStats, CompiledUnit, LowerOptions};
+use cla_ir::{
+    compile_file, compile_preprocessed, AssignCounts, CompileStats, CompiledUnit, LowerOptions,
+};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -365,42 +368,66 @@ pub fn analyze_with(
     // covers finalization + serialization + open.
     let mut sp = obs.span("pipeline", "pipeline.compile");
     sp.set("files", files.len());
-    let streamed = if keyed {
-        stream_compile_link(files, opts, |f| {
-            compile_one_keyed(fs, f, opts, options_fp, hooks.compile_cache)
-        })?
-    } else {
-        stream_compile_link(files, opts, |f| {
-            compile_file(fs, f, &opts.pp, &opts.lower).map(|(unit, stats)| CompiledFile {
-                unit,
-                stats,
-                key: 0,
-                cache_hit: false,
-            })
-        })?
-    };
-    let StreamedCompile {
-        linker,
-        stats,
-        keys,
-        durs,
-        cache_hits: compile_cache_hits,
-        jobs,
-        quarantined: quarantined_ix,
-    } = streamed;
-    let quarantined: Vec<Quarantined> = quarantined_ix
-        .into_iter()
-        .map(|(i, reason)| Quarantined {
-            file: files[i].to_string(),
-            reason,
-        })
-        .collect();
-    for q in &quarantined {
-        obs.counter("cla_front_quarantined_total").inc();
-        if q.reason.is_budget() {
-            obs.counter("cla_front_budget_exceeded_total").inc();
+    let mut linker = StreamLinker::new("a.out");
+    let mut stats = Vec::with_capacity(files.len());
+    let mut keys = Vec::with_capacity(files.len());
+    let mut durs = Vec::with_capacity(files.len());
+    let mut compile_cache_hits = 0usize;
+    let mut quarantined: Vec<Quarantined> = Vec::new();
+    let mut fold = |i: usize, dur: Duration, r: Result<CompiledFile, QuarantineReason>| {
+        durs.push(dur);
+        match r {
+            Ok(c) => {
+                stats.push(c.stats);
+                keys.push(c.key);
+                compile_cache_hits += usize::from(c.cache_hit);
+                linker.push(i, c.unit.expect("no held key: every file yields a unit"));
+            }
+            Err(reason) => {
+                // An empty unit keeps the linker's index sequence intact;
+                // it contributes no objects and no assignments.
+                stats.push(CompileStats::default());
+                keys.push(0);
+                quarantined.push(Quarantined {
+                    file: files[i].to_string(),
+                    reason,
+                });
+                linker.push(i, CompiledUnit::new(files[i]));
+            }
         }
-    }
+    };
+    let jobs = if opts.parallel_compile {
+        effective_jobs(opts.jobs)
+    } else {
+        1
+    };
+    let pool = if keyed {
+        compile_pool(
+            files,
+            jobs,
+            opts.strict,
+            |f| {
+                let cache = hooks.compile_cache;
+                compile_keyed(fs, f, &opts.pp, &opts.lower, options_fp, cache, None)
+            },
+            &mut fold,
+        )?
+    } else {
+        compile_pool(
+            files,
+            jobs,
+            opts.strict,
+            |f| {
+                compile_file(fs, f, &opts.pp, &opts.lower).map(|(unit, stats)| CompiledFile {
+                    unit: Some(unit),
+                    stats,
+                    key: 0,
+                    cache_hit: false,
+                })
+            },
+            &mut fold,
+        )?
+    };
     let partial = !quarantined.is_empty();
     let slowest_files = {
         let mut ranked: Vec<(String, Duration)> = files
@@ -419,11 +446,11 @@ pub fn analyze_with(
         .map(|(f, &k)| ((*f).to_string(), k))
         .collect();
     sp.set("cache_hits", compile_cache_hits);
-    sp.set("jobs", jobs);
+    sp.set("jobs", pool.jobs);
     let compile_time = sp.finish();
 
     let mut sp = obs.span("pipeline", "pipeline.link");
-    let peak_buffered_units = linker.peak_buffered().max(1);
+    let peak_buffered_units = pool.peak_buffered.max(1);
     let (mut program, link_stats) = linker.finish();
     let unknown_summaries = if partial && opts.unknown_summaries {
         add_unknown_summaries(&mut program)
@@ -486,7 +513,7 @@ pub fn analyze_with(
         compile_cache_hits,
         compile_cache_misses,
         snapshot_loaded,
-        jobs,
+        jobs: pool.jobs,
         peak_buffered_units,
         peak_rss_bytes: cla_obs::peak_rss_bytes(),
         slowest_files,
@@ -500,80 +527,92 @@ pub fn analyze_with(
     })
 }
 
-/// One compiled input plus its cache bookkeeping.
-struct CompiledFile {
-    unit: CompiledUnit,
-    stats: CompileStats,
-    /// Preprocessed-closure hash (0 when no hook asked for keys).
-    key: u64,
-    cache_hit: bool,
+/// One file through [`compile_keyed`] (or the unkeyed compile): the unit
+/// plus its cache bookkeeping.
+#[derive(Debug)]
+pub struct CompiledFile {
+    /// The compiled unit; `None` when the file's closure key equals the
+    /// caller's `held` key, i.e. the unit the caller already holds for it
+    /// is current and nothing was parsed or lowered.
+    pub unit: Option<CompiledUnit>,
+    pub stats: CompileStats,
+    /// Preprocessed-closure hash ([`closure_hash`]); 0 from the unkeyed
+    /// compile.
+    pub key: u64,
+    /// Whether the unit came out of the compile cache.
+    pub cache_hit: bool,
 }
 
-/// Compiles one file through the compile cache: preprocess (to key the
-/// cache and detect header changes), reuse the stored object on a hit, and
-/// compile + store on a miss. A cache entry that fails to open or decode is
-/// treated as a miss — the checksummed object reader makes feeding damaged
-/// bytes back safe.
-fn compile_one_keyed(
+/// The closure-keyed per-file compile: preprocess once, key the file by
+/// its preprocessed closure ([`closure_hash`], so header edits change the
+/// key), and then
+///
+/// * return no unit when the key equals `held` (the caller's unit is
+///   current — an incremental reload skips unchanged files this way);
+/// * reuse the cached object on a compile-cache hit (an entry that fails
+///   to open or decode counts as a miss — the checksummed object reader
+///   makes feeding damaged bytes back safe);
+/// * otherwise parse and lower the [`Preprocessed`] already in hand, and
+///   store the object in the cache.
+///
+/// Batch [`analyze_with`] and serving sessions both compile through here,
+/// under [`compile_pool`]'s panic guard.
+///
+/// # Errors
+///
+/// Propagates frontend errors.
+pub fn compile_keyed(
     fs: &dyn FileProvider,
-    f: &str,
-    opts: &PipelineOptions,
+    file: &str,
+    pp: &PpOptions,
+    lower: &LowerOptions,
     options_fp: u64,
     cache: Option<&dyn CompileCache>,
+    held: Option<u64>,
 ) -> Result<CompiledFile, CError> {
-    let pre = cla_cfront::pp::preprocess(fs, f, &opts.pp)?;
-    let key = closure_hash(&pre, f, options_fp);
+    let mut sp = cla_obs::global().span("front", "compile_file");
+    sp.set("file", file);
+    let pre = cla_cfront::preprocess_file(fs, file, pp)?;
+    let key = closure_hash(&pre, file, options_fp);
+    // A held or cached unit saw the same bytes a fresh compile would, so
+    // the preprocessor's figures stand in for the compile's.
+    let reused = |unit: Option<CompiledUnit>| CompiledFile {
+        stats: CompileStats {
+            source_bytes: pre.stats.bytes_in,
+            preprocessed_lines: pre.stats.lines_out,
+            tokens: pre.stats.tokens_out,
+        },
+        cache_hit: unit.is_some(),
+        unit,
+        key,
+    };
+    if held == Some(key) {
+        return Ok(reused(None));
+    }
     if let Some(cache) = cache {
         if let Some(bytes) = cache.load(key) {
             if let Ok(unit) = Database::open(bytes).and_then(|db| db.to_unit()) {
-                // The keying preprocess saw the same bytes the original
-                // compile did, so the hit's stats match a fresh compile.
-                let stats = CompileStats {
-                    source_bytes: pre.stats.bytes_in,
-                    preprocessed_lines: pre.stats.lines_out,
-                    tokens: pre.stats.tokens_out,
-                };
-                return Ok(CompiledFile {
-                    unit,
-                    stats,
-                    key,
-                    cache_hit: true,
-                });
+                return Ok(reused(Some(unit)));
             }
         }
     }
-    let (unit, stats) = compile_file(fs, f, &opts.pp, &opts.lower)?;
+    let (unit, stats) = compile_preprocessed(pre, file, pp, lower)?;
     if let Some(cache) = cache {
         cache.store(key, &write_object(&unit));
     }
+    sp.set("objects", unit.objects.len());
+    sp.set("assigns", unit.assigns.len());
     Ok(CompiledFile {
-        unit,
+        unit: Some(unit),
         stats,
         key,
         cache_hit: false,
     })
 }
 
-/// The result of the streaming compile+link phase: the program is already
-/// folded inside `linker`; per-file stats and cache keys ride alongside in
-/// input order.
-struct StreamedCompile {
-    linker: StreamLinker,
-    stats: Vec<CompileStats>,
-    keys: Vec<u64>,
-    /// Wall time each file spent in `one` (compile or cache hit), in
-    /// input order — the raw material for `Report::slowest_files`.
-    durs: Vec<Duration>,
-    cache_hits: usize,
-    jobs: usize,
-    /// Quarantined inputs by index, sorted in input order (empty in strict
-    /// mode — the run errors out instead).
-    quarantined: Vec<(usize, QuarantineReason)>,
-}
-
 /// Renders a `catch_unwind` payload as text (the conventional `&str` /
 /// `String` payloads; anything else gets a placeholder).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -661,87 +700,94 @@ fn add_unknown_summaries(program: &mut cla_ir::CompiledUnit) -> usize {
     undefined.len()
 }
 
-/// Compiles every file with `one` and folds each unit into a
-/// [`StreamLinker`] as it completes, dropping the unit immediately —
-/// compiled units are never collected into a `Vec`, so peak memory is the
-/// program under construction plus a bounded reorder window (at most
-/// `2 × jobs` units), not the whole codebase.
+/// How one [`compile_pool`] run went.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolRun {
+    /// Worker threads used (1: serial, on the calling thread).
+    pub jobs: usize,
+    /// High-water mark of finished results held back while an earlier file
+    /// was still compiling — the pool's real memory exposure, bounded by
+    /// twice the thread count, never by the codebase.
+    pub peak_buffered: usize,
+}
+
+/// Bumps the process-wide frontend-quarantine counters, so the `metrics`
+/// exposition covers every lenient build, batch or serving.
+fn note_quarantine(reason: &QuarantineReason) {
+    let obs = cla_obs::global();
+    obs.counter("cla_front_quarantined_total").inc();
+    if reason.is_budget() {
+        obs.counter("cla_front_budget_exceeded_total").inc();
+    }
+}
+
+/// The ordered compile pool: runs `one` over `files` on up to `jobs`
+/// threads and hands each result, with its wall time, to `fold` strictly
+/// in input order, whatever the completion order — so whatever `fold`
+/// links is byte-identical to a serial compile.
 ///
-/// Units fold strictly in input order regardless of completion order, so
-/// the linked program is byte-identical to a serial compile. Workers take
-/// file indices from a shared counter and block (condvar) whenever they
-/// would run more than the window ahead of the fold, which is what bounds
-/// the buffer.
-fn stream_compile_link(
+/// Every call to `one` runs under `catch_unwind`: a frontend panic is a
+/// bug in our code, but it is triggered by the input's bytes, and one
+/// hostile file must not take down the run (or kill a worker and strand
+/// everyone waiting on the backpressure condvar). With `strict`, the first
+/// failing file (in input order) aborts the pool and comes back as the
+/// error, panics included as typed errors. Otherwise a failing file is
+/// quarantined: `fold` receives its [`QuarantineReason`] in its slot and
+/// the rest still compile.
+///
+/// Workers take file indices from a shared counter and block whenever they
+/// would run more than `2 × jobs` files ahead of the fold, which bounds
+/// the results held in memory at once.
+///
+/// # Errors
+///
+/// In strict mode, the earliest failing file's error.
+pub fn compile_pool<T: Send>(
     files: &[&str],
-    opts: &PipelineOptions,
-    one: impl Fn(&str) -> Result<CompiledFile, CError> + Sync,
-) -> Result<StreamedCompile, CError> {
-    // Every compile runs under `catch_unwind`: a panic in the frontend is a
-    // bug in *our* code, but it is triggered by *their* bytes, and one
-    // hostile file must not take down the run (or, in the parallel path,
-    // kill a worker thread and strand everyone waiting on the condvar).
-    let guarded = |f: &str| -> Result<CompiledFile, QuarantineReason> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| one(f))) {
+    jobs: usize,
+    strict: bool,
+    one: impl Fn(&str) -> Result<T, CError> + Sync,
+    mut fold: impl FnMut(usize, Duration, Result<T, QuarantineReason>),
+) -> Result<PoolRun, CError> {
+    let guarded = |f: &str| -> (Duration, Result<T, QuarantineReason>) {
+        let t = std::time::Instant::now();
+        let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| one(f))) {
             Ok(Ok(c)) => Ok(c),
             Ok(Err(e)) => Err(QuarantineReason::Error(e)),
             Err(payload) => Err(QuarantineReason::Panic(panic_message(payload))),
-        }
-    };
-    let mut linker = StreamLinker::new("a.out");
-    let mut quarantined: Vec<(usize, QuarantineReason)> = Vec::new();
-    if !opts.parallel_compile || files.len() < 2 {
-        let mut stats = Vec::with_capacity(files.len());
-        let mut keys = Vec::with_capacity(files.len());
-        let mut durs = Vec::with_capacity(files.len());
-        let mut cache_hits = 0usize;
-        for (i, f) in files.iter().enumerate() {
-            let t = std::time::Instant::now();
-            match guarded(f) {
-                Ok(c) => {
-                    durs.push(t.elapsed());
-                    stats.push(c.stats);
-                    keys.push(c.key);
-                    cache_hits += usize::from(c.cache_hit);
-                    linker.push(i, c.unit);
-                }
-                Err(reason) => {
-                    if opts.strict {
-                        return Err(reason_to_cerror(reason));
-                    }
-                    // An empty unit keeps the linker's index sequence
-                    // intact; it contributes no objects and no assignments.
-                    durs.push(t.elapsed());
-                    stats.push(CompileStats::default());
-                    keys.push(0);
-                    quarantined.push((i, reason));
-                    linker.push(i, CompiledUnit::new(*f));
-                }
+        };
+        if let Err(reason) = &r {
+            if !strict {
+                note_quarantine(reason);
             }
         }
-        return Ok(StreamedCompile {
-            linker,
-            stats,
-            keys,
-            durs,
-            cache_hits,
+        (t.elapsed(), r)
+    };
+    let jobs = jobs.min(files.len());
+    if jobs <= 1 {
+        for (i, f) in files.iter().enumerate() {
+            match guarded(f) {
+                (_, Err(reason)) if strict => return Err(reason_to_cerror(reason)),
+                (dur, r) => fold(i, dur, r),
+            }
+        }
+        return Ok(PoolRun {
             jobs: 1,
-            quarantined,
+            peak_buffered: 1,
         });
     }
 
-    let jobs = effective_jobs(opts.jobs).min(files.len());
     let window = jobs * 2;
-    let strict = opts.strict;
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     // Fold progress, shared with the workers for backpressure.
     let progress = Mutex::new(0usize);
     let unblocked = Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, Duration, Result<CompiledFile, QuarantineReason>)>();
-    let mut slots: Vec<Option<(CompileStats, u64, bool, Duration)>> =
-        (0..files.len()).map(|_| None).collect();
-    let mut first_err: Option<CError> = None;
+    let (tx, rx) = mpsc::channel::<(usize, Duration, Result<T, QuarantineReason>)>();
+    let mut pending: BTreeMap<usize, (Duration, Result<T, QuarantineReason>)> = BTreeMap::new();
+    let mut folded = 0usize;
+    let mut peak_buffered = 0usize;
+    let mut first_err: Option<(usize, QuarantineReason)> = None;
     let guarded = &guarded;
     let (next, abort, progress, unblocked) = (&next, &abort, &progress, &unblocked);
     std::thread::scope(|scope| {
@@ -761,15 +807,13 @@ fn stream_compile_link(
                 if abort.load(Relaxed) {
                     break;
                 }
-                let t = std::time::Instant::now();
-                let r = guarded(files[i]);
+                let (dur, r) = guarded(files[i]);
                 let failed = r.is_err();
-                if tx.send((i, t.elapsed(), r)).is_err() {
+                if tx.send((i, dur, r)).is_err() {
                     break;
                 }
                 // Only strict mode aborts the pool: under quarantine the
-                // remaining files still compile, and the failed index is
-                // folded as an empty unit by the main loop below.
+                // remaining files still compile.
                 if failed && strict {
                     abort.store(true, Relaxed);
                     unblocked.notify_all();
@@ -779,58 +823,31 @@ fn stream_compile_link(
         drop(tx);
         for (i, dur, r) in rx {
             match r {
-                Ok(c) => {
-                    slots[i] = Some((c.stats, c.key, c.cache_hit, dur));
-                    linker.push(i, c.unit);
-                    let mut folded = progress.lock().unwrap();
-                    *folded = linker.folded();
-                    drop(folded);
-                    unblocked.notify_all();
-                }
                 Err(reason) if strict => {
-                    if first_err.is_none() {
-                        first_err = Some(reason_to_cerror(reason));
+                    if first_err.as_ref().is_none_or(|(at, _)| i < *at) {
+                        first_err = Some((i, reason));
                     }
                 }
-                Err(reason) => {
-                    // Quarantine: fold an empty placeholder so the strict
-                    // input-order link — and the workers blocked on its
-                    // progress — keep moving.
-                    slots[i] = Some((CompileStats::default(), 0, false, dur));
-                    quarantined.push((i, reason));
-                    linker.push(i, CompiledUnit::new(files[i]));
-                    let mut folded = progress.lock().unwrap();
-                    *folded = linker.folded();
-                    drop(folded);
+                r => {
+                    pending.insert(i, (dur, r));
+                    peak_buffered = peak_buffered.max(pending.len());
+                    while let Some((dur, r)) = pending.remove(&folded) {
+                        fold(folded, dur, r);
+                        folded += 1;
+                    }
+                    *progress.lock().unwrap() = folded;
                     unblocked.notify_all();
                 }
             }
         }
     });
-    if let Some(e) = first_err {
-        return Err(e);
+    if let Some((_, reason)) = first_err {
+        return Err(reason_to_cerror(reason));
     }
-    let mut stats = Vec::with_capacity(files.len());
-    let mut keys = Vec::with_capacity(files.len());
-    let mut durs = Vec::with_capacity(files.len());
-    let mut cache_hits = 0usize;
-    for slot in slots {
-        let (s, k, hit, d) = slot.expect("every file compiled");
-        stats.push(s);
-        keys.push(k);
-        durs.push(d);
-        cache_hits += usize::from(hit);
-    }
-    // Workers finish out of order; the ledger reads in input order.
-    quarantined.sort_by_key(|&(i, _)| i);
-    Ok(StreamedCompile {
-        linker,
-        stats,
-        keys,
-        durs,
-        cache_hits,
+    debug_assert_eq!(folded, files.len(), "every file folded");
+    Ok(PoolRun {
         jobs,
-        quarantined,
+        peak_buffered,
     })
 }
 

@@ -45,14 +45,13 @@
 //!   share `rebuild_slots` permits, so a stampede of cold tenants (or one
 //!   tenant's expensive recompile) cannot occupy every worker thread
 //!   while resident tenants keep answering.
-//! - **DoS limits**: every TCP connection runs through
-//!   [`cla_serve::serve_connection`], inheriting the same idle-timeout and
-//!   request-size hardening as the Unix-socket server.
+//! - **DoS limits**: the hub runs on the Unix-socket server's accept loop
+//!   ([`cla_serve::Listener`]) over a TCP endpoint, inheriting the same
+//!   idle-timeout and request-size hardening.
 
 mod registry;
 mod server;
 
-pub use registry::{
-    Hub, HubError, HubOptions, SessionInfo, SessionSource, SessionSpec, TenantCounters,
-};
+pub use cla_serve::{SessionSource, SessionSpec};
+pub use registry::{Hub, HubError, HubOptions, SessionInfo, TenantCounters};
 pub use server::{dispatch, hub_serve, HubHandle};

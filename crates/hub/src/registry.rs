@@ -1,45 +1,12 @@
 //! The tenant registry: named sessions, a size-capped LRU of resident
 //! graphs, per-tenant admission, and the shared rebuild queue.
 
-use cla_cfront::{FileProvider, PpOptions};
-use cla_core::SolveOptions;
-use cla_ir::LowerOptions;
+use cla_cfront::FileProvider;
 use cla_obs::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
-use cla_serve::{ServeOptions, Session, SessionError};
+use cla_serve::{ServeOptions, Session, SessionError, SessionSource, SessionSpec};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// Where a tenant's program comes from.
-pub enum SessionSource {
-    /// Compile and link C sources through `fs` (reloadable; the hub
-    /// passes the provider back to `reload` requests).
-    Files {
-        fs: Arc<dyn FileProvider + Send + Sync>,
-        files: Vec<String>,
-        pp: PpOptions,
-        lower: LowerOptions,
-        /// Quarantine-and-continue mode: hostile sources become ledger
-        /// entries and `partial: true` answers, not a dead tenant.
-        lenient: bool,
-    },
-    /// An already linked `.clao` object on disk (reload re-reads it).
-    Object { path: PathBuf },
-}
-
-/// Everything needed to (re)build one tenant's session. Kept by the hub
-/// for the whole tenant lifetime: eviction drops the session, never the
-/// spec, so a later request can rebuild it without the client's help.
-pub struct SessionSpec {
-    pub source: SessionSource,
-    pub solve: SolveOptions,
-    /// `.clasnap` directory backing eviction/rehydration. Without one the
-    /// tenant still works, but every rehydration is a cold re-solve.
-    pub snapshot_dir: Option<PathBuf>,
-    /// Compile pool cap for builds (0 = one thread per CPU, 1 = serial).
-    pub jobs: usize,
-}
 
 /// Hub-wide tuning knobs.
 #[derive(Debug, Clone)]
@@ -133,39 +100,6 @@ impl Tenant {
             SessionSource::Object { .. } => None,
         }
     }
-
-    fn build(&self) -> Result<Session, SessionError> {
-        match &self.spec.source {
-            SessionSource::Files {
-                fs,
-                files,
-                pp,
-                lower,
-                lenient,
-            } => {
-                let refs: Vec<&str> = files.iter().map(String::as_str).collect();
-                let build = if *lenient {
-                    Session::from_files_lenient
-                } else {
-                    Session::from_files_jobs
-                };
-                build(
-                    fs.as_ref(),
-                    &refs,
-                    pp,
-                    lower,
-                    self.spec.solve,
-                    self.spec.snapshot_dir.as_deref(),
-                    self.spec.jobs,
-                )
-            }
-            SessionSource::Object { path } => Session::from_object_path_with(
-                path,
-                self.spec.solve,
-                self.spec.snapshot_dir.as_deref(),
-            ),
-        }
-    }
 }
 
 /// One line of the `sessions` listing.
@@ -229,7 +163,8 @@ pub struct Hub {
     /// Active rebuilds, capped at `opts.rebuild_slots` via `rebuild_cv`.
     rebuilds: Mutex<usize>,
     rebuild_cv: Condvar,
-    shutdown: AtomicBool,
+    /// Shared with the accept loop, which polls it.
+    shutdown: Arc<AtomicBool>,
     gauge_resident: Gauge,
     ctr_evictions: Counter,
     ctr_rehydrations: Counter,
@@ -244,7 +179,7 @@ impl Hub {
             clock: AtomicU64::new(0),
             rebuilds: Mutex::new(0),
             rebuild_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             gauge_resident: obs.gauge("cla_hub_resident_sessions"),
             ctr_evictions: obs.counter("cla_hub_evictions_total"),
             ctr_rehydrations: obs.counter("cla_hub_rehydrations_total"),
@@ -258,6 +193,11 @@ impl Hub {
     /// The hub-level shutdown flag, shared with the accept loop.
     pub fn shutdown_flag(&self) -> &AtomicBool {
         &self.shutdown
+    }
+
+    /// An owned handle on the shutdown flag, for the accept loop.
+    pub(crate) fn shutdown_handle(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.shutdown)
     }
 
     /// Registers and eagerly builds a named session, so `open` fails fast
@@ -374,7 +314,7 @@ impl Hub {
             return Ok(Arc::clone(s));
         }
         let _permit = self.rebuild_permit();
-        let session = tenant.build().map_err(HubError::Build)?;
+        let session = Session::open(&tenant.spec).map_err(HubError::Build)?;
         let rebuilt = tenant.builds.fetch_add(1, Relaxed) > 0;
         if rebuilt {
             // Seed past the last served epoch: the rebuilt graph may

@@ -1,18 +1,16 @@
-//! The TCP front end: an accept loop over [`cla_serve::serve_connection`]
-//! plus the hub-level command dispatcher.
+//! The TCP front end: the shared accept loop ([`cla_serve::Listener`]) on a
+//! TCP endpoint, plus the hub-level command dispatcher.
 
-use crate::registry::{Hub, HubError, SessionSource, SessionSpec};
+use crate::registry::{Hub, HubError};
 use cla_cfront::{FileProvider, OsFs, PpOptions};
 use cla_core::SolveOptions;
 use cla_ir::LowerOptions;
 use cla_serve::json::{obj, parse, Value};
-use cla_serve::{handle_request, serve_connection};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use cla_serve::{handle_request, Endpoint, Listener, SessionSource, SessionSpec};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 fn err_reply(msg: &str) -> Value {
     obj([("ok", false.into()), ("error", msg.into())])
@@ -208,75 +206,33 @@ fn handle_open(hub: &Hub, req: &Value) -> Value {
 
 /// A running hub bound to a TCP address.
 pub struct HubHandle {
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    listener: Listener,
     hub: Arc<Hub>,
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral test port) and
-/// serves `hub` on it until shutdown. Every connection runs through
-/// [`cla_serve::serve_connection`], so TCP clients are subject to the
-/// same idle-timeout and request-size limits as Unix-socket clients.
+/// serves `hub` on it until shutdown, on the same accept loop as the
+/// Unix-socket server — so TCP clients are subject to the same
+/// idle-timeout and request-size limits.
 pub fn hub_serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<HubHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let accept = {
+    let listener = {
         let hub = Arc::clone(&hub);
-        std::thread::spawn(move || {
-            // Polling accept: shutdown must not depend on the one wake
-            // connect from `on_shutdown`/`stop` arriving — if it's lost,
-            // a blocking accept would leave `join()` stuck forever.
-            let _ = listener.set_nonblocking(true);
-            loop {
-                if hub.shutdown_flag().load(SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let hub = Arc::clone(&hub);
-                        std::thread::spawn(move || serve_tcp_client(&hub, stream, local));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                    }
-                    Err(_) => {}
-                }
-            }
-        })
+        Listener::bind(
+            &Endpoint::Tcp(addr.to_string()),
+            hub.shutdown_handle(),
+            hub.options().serve.clone(),
+            move |line| dispatch(&hub, line),
+        )?
     };
-    Ok(HubHandle {
-        addr: local,
-        accept: Some(accept),
-        hub,
-    })
-}
-
-fn serve_tcp_client(hub: &Hub, stream: TcpStream, local: SocketAddr) {
-    let _ = stream.set_read_timeout(hub.options().serve.read_timeout);
-    // One small reply per request: batching hurts tail latency here.
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    serve_connection(
-        &mut reader,
-        &mut writer,
-        hub.shutdown_flag(),
-        &hub.options().serve,
-        || {},
-        |line| dispatch(hub, line),
-        || {
-            let _ = TcpStream::connect(local);
-        },
-    );
+    Ok(HubHandle { listener, hub })
 }
 
 impl HubHandle {
     /// The bound address (resolves `:0` to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener
+            .local_addr()
+            .expect("a hub listens on a TCP endpoint")
     }
 
     /// The shared hub (for in-process registration alongside the socket).
@@ -286,27 +242,11 @@ impl HubHandle {
 
     /// Stops accepting and waits for the accept loop.
     pub fn stop(mut self) {
-        self.hub.shutdown_flag().store(true, SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.stop();
     }
 
     /// Waits for a client's `shutdown` command to stop the hub.
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HubHandle {
-    fn drop(&mut self) {
-        self.hub.shutdown_flag().store(true, SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.listener.join();
     }
 }

@@ -31,7 +31,9 @@ pub use lower::{lower_unit, FieldModel, LowerOptions};
 pub use object::{ObjId, ObjKind, ObjectInfo};
 pub use strength::{OpKind, Strength};
 
-use cla_cfront::{parse_file, FileProvider, PpOptions, Result};
+use cla_cfront::{
+    parse_preprocessed, preprocess_file, FileProvider, PpOptions, Preprocessed, Result,
+};
 
 /// Statistics from compiling one source file.
 #[derive(Debug, Default, Clone, Copy)]
@@ -57,17 +59,33 @@ pub fn compile_file(
 ) -> Result<(CompiledUnit, CompileStats)> {
     let mut sp = cla_obs::global().span("front", "compile_file");
     sp.set("file", path);
-    let parsed = parse_file(fs, path, pp)?;
-    let gen_sp = cla_obs::global().span("front", "assign_gen");
-    let unit = lower_unit(&parsed.tu, &parsed.sources, lower);
-    drop(gen_sp);
+    let pre = preprocess_file(fs, path, pp)?;
+    let (unit, stats) = compile_preprocessed(pre, path, pp, lower)?;
     sp.set("objects", unit.objects.len());
     sp.set("assigns", unit.assigns.len());
+    Ok((unit, stats))
+}
+
+/// [`compile_file`] minus the preprocess: parses and lowers a file whose
+/// [`Preprocessed`] form the caller already holds.
+///
+/// # Errors
+///
+/// Propagates parse errors.
+pub fn compile_preprocessed(
+    pre: Preprocessed,
+    path: &str,
+    pp: &PpOptions,
+    lower: &LowerOptions,
+) -> Result<(CompiledUnit, CompileStats)> {
     let stats = CompileStats {
-        source_bytes: parsed.pp_stats.bytes_in,
-        preprocessed_lines: parsed.pp_stats.lines_out,
-        tokens: parsed.pp_stats.tokens_out,
+        source_bytes: pre.stats.bytes_in,
+        preprocessed_lines: pre.stats.lines_out,
+        tokens: pre.stats.tokens_out,
     };
+    let parsed = parse_preprocessed(pre, path, pp)?;
+    let _gen_sp = cla_obs::global().span("front", "assign_gen");
+    let unit = lower_unit(&parsed.tu, &parsed.sources, lower);
     Ok((unit, stats))
 }
 

@@ -80,10 +80,34 @@ impl std::error::Error for ClientError {
     }
 }
 
-/// The two stream types behind one `Read`/`Write` face.
-enum Stream {
+/// The two stream types behind one `Read`/`Write` face (shared with the
+/// server's accept loop).
+pub(crate) enum Stream {
     Unix(UnixStream),
     Tcp(TcpStream),
+}
+
+impl Stream {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
+    pub(crate) fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_nonblocking(on),
+            Stream::Tcp(s) => s.set_nonblocking(on),
+        }
+    }
+
+    pub(crate) fn set_read_timeout(&self, t: Option<std::time::Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_read_timeout(t),
+            Stream::Tcp(s) => s.set_read_timeout(t),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -148,18 +172,13 @@ impl Client {
                 }
             }
         };
-        let (reader, writer) = match endpoint {
-            Endpoint::Unix(path) => {
-                let s = UnixStream::connect(path).map_err(classify)?;
-                let r = s.try_clone().map_err(classify)?;
-                (Stream::Unix(r), Stream::Unix(s))
-            }
+        let writer = match endpoint {
+            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path).map_err(classify)?),
             Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr.as_str()).map_err(classify)?;
-                let r = s.try_clone().map_err(classify)?;
-                (Stream::Tcp(r), Stream::Tcp(s))
+                Stream::Tcp(TcpStream::connect(addr.as_str()).map_err(classify)?)
             }
         };
+        let reader = writer.try_clone().map_err(classify)?;
         Ok(Client {
             reader: BufReader::new(reader),
             writer,

@@ -196,11 +196,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The protocol nests at
+/// most three levels; the bound keeps the recursive descent (and the
+/// recursive drop of the parsed value) far from the end of any thread's
+/// stack, whatever a client sends.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON value; trailing non-whitespace, or nesting deeper than
+/// [`MAX_DEPTH`], is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,6 +222,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -258,8 +268,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -420,6 +441,23 @@ mod tests {
         }
         let e = parse("[1, @]").unwrap_err();
         assert!(e.at >= 4, "position {e:?}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = parse(&deep).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        assert_eq!(e.at, MAX_DEPTH);
+        // Objects count too.
+        let objs = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objs).unwrap_err().msg.contains("nesting"));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper's pipeline is batch: compile, link, analyze, print, exit. This
 //! crate keeps the expensive part — the solved pre-transitive graph —
 //! resident, and answers points-to, alias, and dependence queries against
-//! it repeatedly: in process through [`Session`], or over a Unix socket
-//! speaking newline-delimited JSON through [`Server`].
+//! it repeatedly: in process through [`Session`] (built by
+//! [`Session::open`] from a [`SessionSpec`]), or over a Unix socket
+//! speaking newline-delimited JSON through [`serve`].
 
 pub mod json;
 
@@ -14,11 +15,11 @@ mod session;
 
 pub use client::{Client, ClientError, Endpoint};
 pub use server::{
-    handle_request, publish_latency_percentiles, serve, serve_connection, serve_with, ServeOptions,
+    handle_request, publish_latency_percentiles, serve, serve_with, Listener, ServeOptions,
     ServerHandle,
 };
 pub use session::{
     object_provenance, AliasAnswer, DependAnswer, DependentLine, Health, PointsToAnswer,
-    ReloadReport, Session, SessionError, SessionStats, SlowQuery, Target,
-    DEFAULT_SLOW_THRESHOLD_US,
+    ReloadReport, Session, SessionError, SessionSource, SessionSpec, SessionStats, SlowQuery,
+    Target, DEFAULT_SLOW_THRESHOLD_US,
 };

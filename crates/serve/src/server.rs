@@ -16,7 +16,10 @@
 //! | `{"cmd":"profile","action":"dump"\|"stop"}` | `{"ok":true,"profiling":B,"wall_us":N,"samples":N,"collapsed":S,"spans":[{"span":S,"total_us":N,"self_us":N,"samples":N},…]}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stats":{…}}`, then the server stops accepting |
 //!
-//! Every client gets its own thread; they all share one [`Session`]. Query
+//! Both front ends — this Unix-socket server and the TCP hub — run on one
+//! accept loop, [`Listener`], over an [`Endpoint`]: it polls its shutdown
+//! flag, gives every client its own thread, and runs each connection
+//! through [`serve_connection`]. Here all clients share one [`Session`]. Query
 //! replies carry the session `epoch` of the immutable snapshot that
 //! answered them, so clients racing a `reload` can tell which world an
 //! answer came from.
@@ -40,17 +43,22 @@
 //! failed reload, so recovery is automatic once the underlying file is
 //! fixed.
 
+use crate::client::{Endpoint, Stream};
 use crate::json::{obj, parse, Value};
 use crate::session::{Session, SessionStats};
 use cla_cfront::FileProvider;
 use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How often an idle accept loop re-checks its shutdown flag.
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Limits protecting server worker threads from slow or abusive clients.
 #[derive(Debug, Clone)]
@@ -68,12 +76,6 @@ pub struct ServeOptions {
     /// Enables wire commands used only by the test suite (`__test_panic`).
     /// Never enable in production; the default is off.
     pub enable_test_commands: bool,
-    /// Compile pool cap for building sessions from sources (0 = one thread
-    /// per CPU, 1 = serial). The server itself never compiles — this rides
-    /// along so one options struct configures a whole `serve` deployment —
-    /// and the linked database is byte-identical at any setting (see
-    /// [`Session::from_files_jobs`]).
-    pub jobs: usize,
 }
 
 impl Default for ServeOptions {
@@ -83,16 +85,140 @@ impl Default for ServeOptions {
             max_request_bytes: 1 << 20,
             slow_query_threshold_us: None,
             enable_test_commands: false,
-            jobs: 1,
         }
     }
+}
+
+/// The one accept loop behind both front ends, bound to an [`Endpoint`].
+///
+/// Every accepted connection gets its own thread running the bounded
+/// request loop (`serve_connection`) with the front end's dispatcher. The loop polls its
+/// shutdown flag instead of blocking in `accept`, so stopping never
+/// depends on a wake-up connection arriving. Dropping a listener stops it;
+/// a Unix socket file is removed when the loop ends.
+pub struct Listener {
+    /// The Unix socket file, removed when the loop ends.
+    socket_file: Option<PathBuf>,
+    /// The bound TCP address (a port 0 resolved to the actual port).
+    local_addr: Option<SocketAddr>,
+    shutdown: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `endpoint` (a stale Unix socket file at the path is replaced;
+    /// TCP port 0 picks an ephemeral port) and starts accepting. Each
+    /// request line is answered by `dispatch`; the loop ends once
+    /// `shutdown` is set, by [`Listener::stop`] or by a dispatched request.
+    pub fn bind(
+        endpoint: &Endpoint,
+        shutdown: Arc<AtomicBool>,
+        opts: ServeOptions,
+        dispatch: impl Fn(&str) -> Value + Send + Sync + 'static,
+    ) -> std::io::Result<Listener> {
+        type Accept = Box<dyn Fn() -> std::io::Result<Stream> + Send>;
+        let (accept_one, socket_file, local_addr): (Accept, _, _) = match endpoint {
+            Endpoint::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                let accept = move || l.accept().map(|(s, _)| Stream::Unix(s));
+                (Box::new(accept), Some(path.clone()), None)
+            }
+            Endpoint::Tcp(addr) => {
+                let l = TcpListener::bind(addr.as_str())?;
+                l.set_nonblocking(true)?;
+                let local = l.local_addr()?;
+                let accept = move || l.accept().map(|(s, _)| Stream::Tcp(s));
+                (Box::new(accept), None, Some(local))
+            }
+        };
+        let accept = {
+            let shutdown = Arc::clone(&shutdown);
+            let dispatch = Arc::new(dispatch);
+            std::thread::spawn(move || {
+                while !shutdown.load(SeqCst) {
+                    let Ok(stream) = accept_one() else {
+                        std::thread::sleep(ACCEPT_POLL);
+                        continue;
+                    };
+                    let (shutdown, opts, dispatch) =
+                        (Arc::clone(&shutdown), opts.clone(), Arc::clone(&dispatch));
+                    std::thread::spawn(move || {
+                        serve_stream(stream, &shutdown, &opts, dispatch.as_ref());
+                    });
+                }
+            })
+        };
+        Ok(Listener {
+            socket_file,
+            local_addr,
+            shutdown,
+            accept: Some(accept),
+        })
+    }
+
+    /// The bound TCP address (`None` for a Unix socket).
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        self.local_addr
+    }
+
+    /// True once the shutdown flag is set (a `shutdown` request or `stop`).
+    pub fn is_shut_down(&self) -> bool {
+        self.shutdown.load(SeqCst)
+    }
+
+    /// Sets the shutdown flag and waits for the accept loop to end.
+    pub fn stop(&mut self) {
+        self.shutdown.store(true, SeqCst);
+        self.join();
+    }
+
+    /// Waits for the accept loop to end (after a client's `shutdown`).
+    pub fn join(&mut self) {
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        if let Some(path) = &self.socket_file {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if self.accept.is_some() {
+            self.stop();
+        }
+    }
+}
+
+/// Runs one accepted connection through [`serve_connection`].
+fn serve_stream(
+    stream: Stream,
+    shutdown: &AtomicBool,
+    opts: &ServeOptions,
+    dispatch: &dyn Fn(&str) -> Value,
+) {
+    // The accepted socket must block (with the idle timeout armed), even
+    // where it would inherit the listener's non-blocking mode.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(opts.read_timeout);
+    if let Stream::Tcp(s) = &stream {
+        // One small reply per request: batching hurts tail latency here.
+        let _ = s.set_nodelay(true);
+    }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    serve_connection(&mut reader, &mut writer, shutdown, opts, dispatch);
 }
 
 /// A running server bound to a Unix socket.
 pub struct ServerHandle {
     path: PathBuf,
-    accept: Option<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
     session: Arc<Session>,
 }
 
@@ -118,34 +244,21 @@ pub fn serve_with(
     if let Some(us) = opts.slow_query_threshold_us {
         session.set_slow_query_threshold_us(us);
     }
-    let _ = std::fs::remove_file(socket);
-    let listener = UnixListener::bind(socket)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let session = Arc::clone(&session);
-        let shutdown = Arc::clone(&shutdown);
-        let path = socket.to_path_buf();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let session = Arc::clone(&session);
-                let fs = fs.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let path = path.clone();
-                let opts = opts.clone();
-                std::thread::spawn(move || {
-                    serve_client(&session, fs.as_deref(), stream, &shutdown, &path, &opts);
-                });
-            }
-        })
+    let dispatch = {
+        let (session, shutdown, opts) = (Arc::clone(&session), Arc::clone(&shutdown), opts.clone());
+        move |line: &str| {
+            // A degraded session retries its reload here, piggybacked on
+            // incoming traffic: recovery is automatic once the fault is
+            // fixed, with no background thread to manage.
+            session.maybe_recover(fs.as_deref().map(|f| f as &dyn FileProvider));
+            handle_request(&session, fs.as_deref(), line, &shutdown, &opts)
+        }
     };
+    let endpoint = Endpoint::Unix(socket.to_path_buf());
     Ok(ServerHandle {
         path: socket.to_path_buf(),
-        accept: Some(accept),
-        shutdown,
+        listener: Listener::bind(&endpoint, shutdown, opts, dispatch)?,
         session,
     })
 }
@@ -163,46 +276,26 @@ impl ServerHandle {
 
     /// True once a shutdown request was seen (or `stop` was called).
     pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(SeqCst)
+        self.listener.is_shut_down()
     }
 
     /// Stops accepting, waits for the accept loop, removes the socket file,
     /// and returns the final stats snapshot.
     pub fn stop(mut self) -> SessionStats {
-        self.shutdown.store(true, SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = UnixStream::connect(&self.path);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+        self.listener.stop();
         self.session.stats()
     }
 
     /// Waits for the server to be shut down by a client (`shutdown` command)
     /// and returns the final stats snapshot.
     pub fn join(mut self) -> SessionStats {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+        self.listener.join();
         self.session.stats()
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, SeqCst);
-        let _ = UnixStream::connect(&self.path);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// One bounded read attempt: a complete request line, or a reason to stop.
-pub(crate) enum Request {
+enum Request {
     /// Raw bytes of one line — UTF-8 validation happens at the protocol
     /// layer so an invalid sequence gets a typed reply, not a lossy parse.
     Line(Vec<u8>),
@@ -216,9 +309,7 @@ pub(crate) enum Request {
 
 /// Reads one `\n`-terminated line without ever buffering more than `max`
 /// bytes — the defense against a client streaming an endless line.
-/// Generic over the buffered transport so the Unix-socket server and the
-/// TCP hub share one bounded reader.
-pub(crate) fn read_request<R: BufRead>(reader: &mut R, max: usize) -> Request {
+fn read_request<R: BufRead>(reader: &mut R, max: usize) -> Request {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let (used, done) = {
@@ -265,26 +356,22 @@ pub(crate) fn read_request<R: BufRead>(reader: &mut R, max: usize) -> Request {
 /// escaping the dispatcher, and writes one JSON reply per request —
 /// requests pipeline naturally, replies return in request order.
 ///
-/// This loop is transport agnostic: the Unix-socket server and the TCP hub
-/// both run their connections through it, so every front end inherits the
-/// same DoS hardening. The caller must arm the transport's read timeout
-/// (`set_read_timeout`) so an idle read surfaces as `WouldBlock`/`TimedOut`
-/// rather than blocking forever.
+/// This loop is transport agnostic: [`Listener`] runs every connection of
+/// both front ends through it, so each inherits the same DoS hardening.
+/// The caller must arm the transport's read timeout (`set_read_timeout`)
+/// so an idle read surfaces as `WouldBlock`/`TimedOut` rather than
+/// blocking forever.
 ///
-/// `before_request` runs ahead of each dispatched request (the servers use
-/// it for degraded-session recovery). `dispatch` answers one request line;
-/// a panic inside it is caught and counted, the client gets a structured
-/// error, and only this connection dies. `on_shutdown` runs when a
-/// dispatched request flips the shutdown flag (used to unblock the accept
-/// loop with a throwaway connection).
-pub fn serve_connection<R: BufRead, W: Write>(
+/// `dispatch` answers one request line; a panic inside it is caught and
+/// counted, the client gets a structured error, and only this connection
+/// dies. A request that sets the shutdown flag ends the connection after
+/// its reply.
+fn serve_connection<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
     shutdown: &AtomicBool,
     opts: &ServeOptions,
-    mut before_request: impl FnMut(),
-    mut dispatch: impl FnMut(&str) -> Value,
-    mut on_shutdown: impl FnMut(),
+    dispatch: impl Fn(&str) -> Value,
 ) {
     let send = |writer: &mut W, reply: &Value| -> bool {
         let mut text = reply.encode();
@@ -330,7 +417,6 @@ pub fn serve_connection<R: BufRead, W: Write>(
             let _ = send(writer, &err_reply("shutting down"));
             break;
         }
-        before_request();
         // One poisoned query must kill this connection, not the server:
         // every other client keeps its thread and the accept loop survives.
         let reply = catch_unwind(AssertUnwindSafe(|| dispatch(&line)));
@@ -349,43 +435,11 @@ pub fn serve_connection<R: BufRead, W: Write>(
             }
         }
         if shutdown.load(SeqCst) {
-            // This request shut the server down: let the caller unblock
-            // its accept loop.
-            on_shutdown();
+            // This request shut the server down; the accept loop sees the
+            // flag on its next poll.
             break;
         }
     }
-}
-
-fn serve_client(
-    session: &Session,
-    fs: Option<&(dyn FileProvider + Send + Sync)>,
-    stream: UnixStream,
-    shutdown: &AtomicBool,
-    path: &Path,
-    opts: &ServeOptions,
-) {
-    let _ = stream.set_read_timeout(opts.read_timeout);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    serve_connection(
-        &mut reader,
-        &mut writer,
-        shutdown,
-        opts,
-        // A degraded session retries its reload here, piggybacked on
-        // incoming traffic: recovery is automatic once the fault is fixed,
-        // with no background thread to manage.
-        || {
-            session.maybe_recover(fs.map(|f| f as &dyn FileProvider));
-        },
-        |line| handle_request(session, fs, line, shutdown, opts),
-        || {
-            let _ = UnixStream::connect(path);
-        },
-    );
 }
 
 fn err_reply(msg: &str) -> Value {
@@ -644,9 +698,11 @@ pub fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{SessionSource, SessionSpec};
     use cla_cfront::{MemoryFs, PpOptions};
     use cla_core::SolveOptions;
     use cla_ir::LowerOptions;
+    use std::os::unix::net::UnixStream;
     use std::sync::atomic::AtomicU32;
 
     static SOCKET_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -667,16 +723,8 @@ mod tests {
     }
 
     fn sample_server(fs: &MemoryFs) -> ServerHandle {
-        let session = Session::from_files(
-            fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        )
-        .unwrap();
         serve(
-            Arc::new(session),
+            sample_session(fs),
             Some(Arc::new(fs.clone())),
             &temp_socket(),
         )
@@ -739,16 +787,19 @@ mod tests {
     }
 
     fn sample_session(fs: &MemoryFs) -> Arc<Session> {
-        Arc::new(
-            Session::from_files(
-                fs,
-                &["a.c", "b.c"],
-                &PpOptions::default(),
-                &LowerOptions::default(),
-                SolveOptions::default(),
-            )
-            .unwrap(),
-        )
+        let spec = SessionSpec {
+            source: SessionSource::Files {
+                fs: Arc::new(fs.clone()),
+                files: vec!["a.c".to_string(), "b.c".to_string()],
+                pp: PpOptions::default(),
+                lower: LowerOptions::default(),
+                lenient: false,
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: None,
+            jobs: 1,
+        };
+        Arc::new(Session::open(&spec).unwrap())
     }
 
     /// Reads to EOF; returns every line the server sent before closing.
@@ -921,16 +972,8 @@ mod tests {
     #[test]
     fn reload_without_sources_is_an_error() {
         let fs = sample_fs();
-        let session = Session::from_files(
-            &fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        )
-        .unwrap();
         // Server started without a file provider: reload refused.
-        let server = serve(Arc::new(session), None, &temp_socket()).unwrap();
+        let server = serve(sample_session(&fs), None, &temp_socket()).unwrap();
         let mut c = UnixStream::connect(server.path()).unwrap();
         let v = ask(&mut c, r#"{"cmd":"reload"}"#);
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));

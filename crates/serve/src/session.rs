@@ -10,7 +10,11 @@
 //!   query ever takes a solver mutex, so N clients scale to N cores;
 //! * repeated queries are answered from a bounded LRU of finished results
 //!   without touching the snapshot at all;
-//! * [`Session::reload`] recompiles only changed sources, relinks through
+//! * [`Session::open`] builds from a [`SessionSpec`] through the pipeline's
+//!   one compile/link/quarantine path ([`compile_pool`] over
+//!   [`compile_keyed`]), the same one batch `analyze` uses;
+//! * [`Session::reload`] recompiles only the sources whose preprocessed
+//!   closure changed (headers included), relinks through
 //!   [`LinkSet`], solves and seals a new snapshot *off to the side*, then
 //!   swaps it in under the write lock, bumps the session epoch, and
 //!   discards every cached result. In-flight queries finish against the
@@ -19,14 +23,16 @@
 use crate::json::{obj, Value};
 use cla_cfront::{CError, FileProvider, PpOptions};
 use cla_cladb::{fnv64, write_object, Database, DbError, LinkSet};
-use cla_core::pipeline::{panic_message, Provenance, QuarantineReason, Quarantined, SnapshotHook};
+use cla_core::pipeline::{
+    compile_keyed, compile_pool, effective_jobs, options_fingerprint, CompiledFile, Provenance,
+    Quarantined, SnapshotHook,
+};
 use cla_core::{SealedGraph, SolveOptions, SolveStats, Warm};
 use cla_depend::{DependOptions, DependenceAnalysis};
-use cla_ir::{compile_file, LowerOptions, ObjId};
+use cla_ir::{CompiledUnit, LowerOptions, ObjId};
 use cla_obs::{nearest_rank, Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
 use cla_snap::SnapshotStore;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
@@ -54,15 +60,11 @@ const ALLOC_SPANS_IN_STATS: usize = 8;
 pub enum SessionError {
     /// No object in the program has this name.
     UnknownVariable(String),
-    /// `reload` on a session with no reload inputs (opened via
-    /// [`Session::from_database`]).
-    NoSources,
     /// `reload` needs to re-read source files but no file provider was
     /// passed.
     NoProvider,
-    /// A source file disappeared between loads.
-    MissingFile(String),
-    /// Recompilation of a changed source failed.
+    /// Compiling a source failed (strict sessions; a lenient one
+    /// quarantines the file instead). A missing file is a frontend error.
     Compile(CError),
     /// The object file failed to read, open, or verify.
     Db(DbError),
@@ -72,15 +74,8 @@ impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionError::UnknownVariable(n) => write!(f, "unknown variable: {n}"),
-            SessionError::NoSources => {
-                write!(
-                    f,
-                    "session was opened from a database; reload needs sources"
-                )
-            }
             SessionError::NoProvider => write!(f, "reload is not available (no file provider)"),
-            SessionError::MissingFile(p) => write!(f, "source file missing: {p}"),
-            SessionError::Compile(e) => write!(f, "recompile failed: {e}"),
+            SessionError::Compile(e) => write!(f, "compile failed: {e}"),
             SessionError::Db(e) => write!(f, "{e}"),
         }
     }
@@ -178,7 +173,7 @@ pub struct DependAnswer {
 /// Outcome of a reload.
 #[derive(Debug, Clone)]
 pub struct ReloadReport {
-    /// Sources whose text changed and were recompiled.
+    /// Sources whose preprocessed closure changed and were recompiled.
     pub recompiled: Vec<String>,
     /// Cached query results discarded by the swap.
     pub invalidated_results: usize,
@@ -453,26 +448,147 @@ impl LatencyRing {
     }
 }
 
-/// Compilation inputs retained for incremental reload.
+/// Where a session's program comes from.
+pub enum SessionSource {
+    /// Compile and link C sources through `fs` (reloadable; the server
+    /// passes a provider back to `reload` requests).
+    Files {
+        fs: Arc<dyn FileProvider + Send + Sync>,
+        files: Vec<String>,
+        pp: PpOptions,
+        lower: LowerOptions,
+        /// Quarantine-and-continue mode: hostile sources become ledger
+        /// entries and `partial: true` answers, not a failed build.
+        lenient: bool,
+    },
+    /// An already linked `.clao` object on disk (reload re-reads it).
+    Object { path: PathBuf },
+}
+
+/// Everything needed to build one session — the argument of
+/// [`Session::open`]. A multiplexing front end (the hub) keeps the spec
+/// for a tenant's whole lifetime, so it can rebuild an evicted session
+/// without the client's help.
+pub struct SessionSpec {
+    pub source: SessionSource,
+    pub solve: SolveOptions,
+    /// `.clasnap` directory: a start whose provenance matches the snapshot
+    /// there skips the solver, and every solve refreshes it. Shared with
+    /// `analyze --snapshot` over the same files (DESIGN.md §11).
+    pub snapshot_dir: Option<PathBuf>,
+    /// Compile pool cap for builds and reloads (0 = one thread per CPU,
+    /// 1 = serial). The linked database is byte-identical at any setting.
+    pub jobs: usize,
+}
+
+/// C sources retained for incremental reload.
 struct Sources {
     files: Vec<String>,
-    /// Hash of each file's current text, for change detection.
-    hashes: HashMap<String, u64>,
+    /// Each file's preprocessed-closure hash ([`cla_core::closure_hash`])
+    /// at its last compile: the change detector, and the snapshot
+    /// provenance's inputs.
+    keys: HashMap<String, u64>,
     units: LinkSet,
     pp: PpOptions,
     lower: LowerOptions,
-    program: String,
+    options_fp: u64,
     /// Quarantine-and-continue: a failing unit is skipped (empty unit, a
     /// ledger entry) instead of failing the build or the reload.
     lenient: bool,
+    jobs: usize,
+}
+
+/// The program name every session links under (`analyze` uses the same).
+const PROGRAM: &str = "a.out";
+
+impl Sources {
+    /// Runs every file through the pipeline's keyed compile pool and folds
+    /// the changed units into the link set: a file whose closure key is
+    /// unchanged is skipped, unless `force` or it is in `retry`. Returns
+    /// the recompiled files and the quarantine ledger, both in file order.
+    fn rebuild(
+        &mut self,
+        fs: &dyn FileProvider,
+        force: bool,
+        retry: &HashSet<String>,
+    ) -> Result<(Vec<String>, Vec<Quarantined>), SessionError> {
+        let refs: Vec<&str> = self.files.iter().map(String::as_str).collect();
+        let (keys, units) = (&self.keys, &mut self.units);
+        let (mut recompiled, mut ledger, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+        let run = compile_pool(
+            &refs,
+            effective_jobs(self.jobs),
+            !self.lenient,
+            |f| {
+                let held = if force || retry.contains(f) {
+                    None
+                } else {
+                    keys.get(f).copied()
+                };
+                compile_keyed(fs, f, &self.pp, &self.lower, self.options_fp, None, held)
+            },
+            |i, _, r| match r {
+                Ok(CompiledFile { unit: None, .. }) => {}
+                Ok(CompiledFile {
+                    unit: Some(unit),
+                    key,
+                    ..
+                }) => {
+                    units.upsert(refs[i], unit);
+                    fresh.push((i, key));
+                    recompiled.push(refs[i].to_string());
+                }
+                Err(reason) => {
+                    units.upsert(refs[i], CompiledUnit::new(refs[i]));
+                    fresh.push((i, 0));
+                    ledger.push(Quarantined {
+                        file: refs[i].to_string(),
+                        reason,
+                    });
+                }
+            },
+        );
+        // Units folded before a strict failure stay in the link set, so
+        // their keys must follow them.
+        for (i, key) in fresh {
+            self.keys.insert(self.files[i].clone(), key);
+        }
+        run.map_err(SessionError::Compile)?;
+        Ok((recompiled, ledger))
+    }
+
+    /// Links the current units and loads the program, through the snapshot
+    /// store under the pipeline's provenance when the build is whole.
+    /// Partial builds bypass the store, exactly as `analyze` does: a
+    /// quarantined file has no closure key to vouch for its slot.
+    fn load(
+        &self,
+        quarantined: Vec<Quarantined>,
+        solver: SolveOptions,
+        store: Option<&SnapshotStore>,
+    ) -> Result<(Loaded, bool), SessionError> {
+        let (program, _) = self.units.link(PROGRAM);
+        let db = Database::open(write_object(&program)).map_err(SessionError::Db)?;
+        let prov = Provenance {
+            inputs: self
+                .files
+                .iter()
+                .map(|f| (f.clone(), self.keys.get(f).copied().unwrap_or(0)))
+                .collect(),
+            options_fp: self.options_fp,
+            solver,
+        };
+        let store = store.filter(|_| quarantined.is_empty());
+        let (mut loaded, from_snap) = load_or_snapshot(db, solver, store, &prov);
+        loaded.quarantined = quarantined;
+        Ok((loaded, from_snap))
+    }
 }
 
 /// What a `reload` re-reads, fixed at session construction.
 enum ReloadInputs {
-    /// No reload (opened straight from in-memory bytes).
-    None,
     /// C sources: recompile changed files, relink, re-solve.
-    /// Boxed: `Sources` dwarfs the other variants.
+    /// Boxed: `Sources` dwarfs the other variant.
     Files(Box<Sources>),
     /// A linked `.clao` on disk: re-read, re-open, re-solve.
     Object { path: PathBuf, hash: u64 },
@@ -559,98 +675,6 @@ impl Cmd {
     }
 }
 
-fn hash_text(text: &str) -> u64 {
-    // FNV-1a: stable across runs (unlike the std hasher's random keys).
-    fnv64(text.as_bytes())
-}
-
-/// Bumps the global frontend-quarantine counters (the same ones the
-/// pipeline's `analyze` bumps), so the `metrics` exposition covers both
-/// batch runs and lenient sessions.
-fn note_quarantine(reason: &QuarantineReason) {
-    let obs = cla_obs::global();
-    obs.counter("cla_front_quarantined_total").inc();
-    if reason.is_budget() {
-        obs.counter("cla_front_budget_exceeded_total").inc();
-    }
-}
-
-/// One compiled slot: the source text hash plus the unit, or the reason it
-/// was quarantined instead.
-type CompiledSlot = (u64, Result<cla_ir::CompiledUnit, QuarantineReason>);
-
-/// Compiles one file for the session, optionally quarantine-and-continue:
-/// when `lenient`, a typed frontend error or a panic becomes an `Err` item
-/// (the caller substitutes an empty unit) instead of failing the build.
-fn compile_one(
-    fs: &dyn FileProvider,
-    f: &str,
-    pp: &PpOptions,
-    lower: &LowerOptions,
-    lenient: bool,
-) -> Result<CompiledSlot, SessionError> {
-    let text = fs
-        .read(f)
-        .ok_or_else(|| SessionError::MissingFile(f.to_string()))?;
-    let hash = hash_text(&text);
-    if !lenient {
-        let (unit, _) = compile_file(fs, f, pp, lower).map_err(SessionError::Compile)?;
-        return Ok((hash, Ok(unit)));
-    }
-    let unit = match catch_unwind(AssertUnwindSafe(|| compile_file(fs, f, pp, lower))) {
-        Ok(Ok((unit, _))) => Ok(unit),
-        Ok(Err(e)) => Err(QuarantineReason::Error(e)),
-        Err(payload) => Err(QuarantineReason::Panic(panic_message(payload))),
-    };
-    Ok((hash, unit))
-}
-
-/// Compiles `files` with up to `jobs` worker threads (0 = one per CPU),
-/// returning `(text hash, unit-or-quarantine)` per file in input order.
-/// Errors report the earliest failing file, exactly as a serial loop would.
-fn compile_pool(
-    fs: &dyn FileProvider,
-    files: &[&str],
-    pp: &PpOptions,
-    lower: &LowerOptions,
-    jobs: usize,
-    lenient: bool,
-) -> Result<Vec<CompiledSlot>, SessionError> {
-    let one = |f: &str| compile_one(fs, f, pp, lower, lenient);
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(4, usize::from)
-    } else {
-        jobs
-    }
-    .min(files.len().max(1));
-    if jobs <= 1 {
-        return files.iter().map(|f| one(f)).collect();
-    }
-    type Compiled = Result<CompiledSlot, SessionError>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<Compiled>> = Vec::new();
-    slots.resize_with(files.len(), || None);
-    let slots = Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Relaxed);
-                if i >= files.len() {
-                    return;
-                }
-                let r = one(files[i]);
-                slots.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap()
-        .drain(..)
-        .map(|slot| slot.expect("every index was claimed by a worker"))
-        .collect()
-}
-
 /// Reads, opens, and fully verifies a `.clao` file; returns the database
 /// plus the file-content hash used for reload change detection.
 fn open_object_path(path: &Path) -> Result<(Database, u64), SessionError> {
@@ -677,13 +701,12 @@ fn load(db: Database, opts: SolveOptions) -> Loaded {
     }
 }
 
-/// Provenance scheme for serve-side snapshots. The sealed graph is a pure
-/// function of the linked object bytes and the solver options, so one
-/// `(tag, object-bytes hash)` input identifies it exactly: any source edit
-/// that changes the linked program changes the hash and forces a re-solve,
-/// while an edit with no semantic effect (whitespace, comments) keeps the
-/// snapshot valid — and correct. The fixed `options_fp` namespaces these
-/// provenances away from the pipeline's preprocessed-closure scheme.
+/// Provenance of a session over a linked `.clao` file. The sealed graph is
+/// a pure function of the object bytes and the solver options, so one
+/// `(tag, object-bytes hash)` input identifies it exactly. The fixed
+/// `options_fp` namespaces these provenances away from the pipeline's
+/// preprocessed-closure scheme, which source-backed sessions share with
+/// `analyze` (DESIGN.md §11).
 pub fn object_provenance(tag: &str, object_hash: u64, solver: SolveOptions) -> Provenance {
     Provenance {
         inputs: vec![(tag.to_string(), object_hash)],
@@ -734,23 +757,59 @@ fn load_or_snapshot(
 }
 
 impl Session {
-    /// Opens a session over an already linked program database.
-    /// [`Session::reload`] is unavailable (there are no sources to watch).
-    pub fn from_database(db: Database, opts: SolveOptions) -> Session {
-        Session::build(load(db, opts), opts)
-    }
-
-    /// Assembles a session around an already loaded state (solved or
-    /// restored from a snapshot).
-    fn build(loaded: Loaded, opts: SolveOptions) -> Session {
+    /// Builds a session from `spec` — the one way to open one.
+    ///
+    /// C sources compile through the pipeline's compile pool (quarantining
+    /// failures when `lenient`), link in file order as `a.out`, and solve;
+    /// a `.clao` file is read and every block verified up front, so a
+    /// session never discovers corruption mid-query. With a snapshot
+    /// directory, a provenance match skips the solver (a warm start) and a
+    /// miss solves and persists the graph for next time. Every successful
+    /// reload refreshes the snapshot, so even a server that crashes right
+    /// after a reload restarts warm.
+    pub fn open(spec: &SessionSpec) -> Result<Session, SessionError> {
+        let store = open_store(spec.snapshot_dir.as_deref())?;
+        let (inputs, (loaded, from_snap)) = match &spec.source {
+            SessionSource::Files {
+                fs,
+                files,
+                pp,
+                lower,
+                lenient,
+            } => {
+                let mut sources = Sources {
+                    files: files.clone(),
+                    keys: HashMap::new(),
+                    units: LinkSet::new(),
+                    pp: pp.clone(),
+                    lower: lower.clone(),
+                    options_fp: options_fingerprint(pp, lower),
+                    lenient: *lenient,
+                    jobs: spec.jobs,
+                };
+                let (_, ledger) = sources.rebuild(fs.as_ref(), true, &HashSet::new())?;
+                let loaded = sources.load(ledger, spec.solve, store.as_ref())?;
+                (ReloadInputs::Files(Box::new(sources)), loaded)
+            }
+            SessionSource::Object { path } => {
+                let (db, hash) = open_object_path(path)?;
+                let prov = object_provenance(&path.display().to_string(), hash, spec.solve);
+                let loaded = load_or_snapshot(db, spec.solve, store.as_ref(), &prov);
+                let inputs = ReloadInputs::Object {
+                    path: path.clone(),
+                    hash,
+                };
+                (inputs, loaded)
+            }
+        };
         let obs = cla_obs::global();
         let hist = |cmd: &str| {
             obs.histogram_with("cla_serve_latency_us", &[("cmd", cmd)], LATENCY_BUCKETS_US)
         };
-        Session {
+        Ok(Session {
             state: RwLock::new(loaded),
-            sources: Mutex::new(ReloadInputs::None),
-            solve_opts: opts,
+            sources: Mutex::new(inputs),
+            solve_opts: spec.solve,
             degraded: Mutex::new(None),
             reload_in_progress: AtomicBool::new(false),
             backoff_base_ms: AtomicU64::new(1_000),
@@ -778,159 +837,9 @@ impl Session {
             hist_points_to: hist("points-to"),
             hist_alias: hist("alias"),
             hist_depend: hist("depend"),
-            snap_store: None,
-            snapshot_loaded: AtomicBool::new(false),
-        }
-    }
-
-    /// Compiles and links `files` from `fs`, solves, and opens a session
-    /// that can [`reload`](Session::reload) them incrementally.
-    pub fn from_files(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_with(fs, files, pp, lower, opts, None)
-    }
-
-    /// [`Session::from_files`] with an optional snapshot directory: when
-    /// the directory holds a snapshot whose provenance matches the freshly
-    /// linked program, the solver is skipped and the session starts warm;
-    /// otherwise it solves cold and persists a snapshot for next time.
-    /// Every successful reload refreshes the snapshot, so even a server
-    /// that crashes right after a reload restarts warm.
-    pub fn from_files_with(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_jobs(fs, files, pp, lower, opts, snapshot_dir, 1)
-    }
-
-    /// [`Session::from_files_with`] with a compile pool: up to `jobs`
-    /// threads compile sources concurrently (0 = one per CPU, 1 = serial).
-    /// Units enter the link set in input order regardless of completion
-    /// order, so the linked database is byte-identical to a serial build.
-    /// Reloads recompile only changed files and stay serial.
-    pub fn from_files_jobs(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_impl(fs, files, pp, lower, opts, snapshot_dir, jobs, false)
-    }
-
-    /// [`Session::from_files_jobs`] in quarantine-and-continue mode: a
-    /// source that fails to compile (typed error, panic, or budget overrun)
-    /// is skipped — an empty unit keeps its slot in the link order, the
-    /// failure lands in the [`Session::quarantined`] ledger, queries answer
-    /// over the surviving subset with `partial: true`, and every
-    /// [`Session::reload`] retries the quarantined files (DESIGN.md §14).
-    pub fn from_files_lenient(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-    ) -> Result<Session, SessionError> {
-        Session::from_files_impl(fs, files, pp, lower, opts, snapshot_dir, jobs, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_files_impl(
-        fs: &dyn FileProvider,
-        files: &[&str],
-        pp: &PpOptions,
-        lower: &LowerOptions,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-        jobs: usize,
-        lenient: bool,
-    ) -> Result<Session, SessionError> {
-        let store = open_store(snapshot_dir)?;
-        let mut units = LinkSet::new();
-        let mut hashes = HashMap::new();
-        let mut ledger = Vec::new();
-        for (f, (hash, unit)) in files
-            .iter()
-            .zip(compile_pool(fs, files, pp, lower, jobs, lenient)?)
-        {
-            hashes.insert(f.to_string(), hash);
-            match unit {
-                Ok(unit) => {
-                    units.upsert(*f, unit);
-                }
-                Err(reason) => {
-                    note_quarantine(&reason);
-                    ledger.push(Quarantined {
-                        file: f.to_string(),
-                        reason,
-                    });
-                    units.upsert(*f, cla_ir::CompiledUnit::new(*f));
-                }
-            }
-        }
-        let (program, _) = units.link("a.out");
-        let bytes = write_object(&program);
-        let prov = object_provenance("a.out", fnv64(&bytes), opts);
-        let db = Database::open(bytes).map_err(SessionError::Db)?;
-        let (mut loaded, from_snap) = load_or_snapshot(db, opts, store.as_ref(), &prov);
-        loaded.quarantined = ledger;
-        let mut session = Session::build(loaded, opts);
-        session.snap_store = store;
-        session.snapshot_loaded = AtomicBool::new(from_snap);
-        *session.sources.lock().unwrap() = ReloadInputs::Files(Box::new(Sources {
-            files: files.iter().map(|f| f.to_string()).collect(),
-            hashes,
-            units,
-            pp: pp.clone(),
-            lower: lower.clone(),
-            program: "a.out".to_string(),
-            lenient,
-        }));
-        Ok(session)
-    }
-
-    /// Opens a session over a linked `.clao` object file on disk.
-    /// [`Session::reload`] re-reads the file, so the session can pick up a
-    /// rewritten database — and survive a corrupt one in degraded mode.
-    ///
-    /// The whole file (every demand-loaded block included) is verified up
-    /// front: a session must never discover corruption mid-query.
-    pub fn from_object_path(path: &Path, opts: SolveOptions) -> Result<Session, SessionError> {
-        Session::from_object_path_with(path, opts, None)
-    }
-
-    /// [`Session::from_object_path`] with an optional snapshot directory
-    /// (see [`Session::from_files_with`] for the cold/warm behavior).
-    pub fn from_object_path_with(
-        path: &Path,
-        opts: SolveOptions,
-        snapshot_dir: Option<&Path>,
-    ) -> Result<Session, SessionError> {
-        let store = open_store(snapshot_dir)?;
-        let (db, hash) = open_object_path(path)?;
-        let prov = object_provenance(&path.display().to_string(), hash, opts);
-        let (loaded, from_snap) = load_or_snapshot(db, opts, store.as_ref(), &prov);
-        let mut session = Session::build(loaded, opts);
-        session.snap_store = store;
-        session.snapshot_loaded = AtomicBool::new(from_snap);
-        *session.sources.lock().unwrap() = ReloadInputs::Object {
-            path: path.to_path_buf(),
-            hash,
-        };
-        Ok(session)
+            snap_store: store,
+            snapshot_loaded: AtomicBool::new(from_snap),
+        })
     }
 
     // ----- queries ----------------------------------------------------------
@@ -1138,13 +1047,14 @@ impl Session {
 
     // ----- reload -----------------------------------------------------------
 
-    /// Recompiles sources whose text changed (all of them when `force`),
-    /// relinks, re-solves, and swaps the resident state. Cached results are
+    /// Recompiles sources whose preprocessed closure changed — the file or
+    /// any header it includes; all of them when `force` — relinks,
+    /// re-solves, and swaps the resident state. Cached results are
     /// discarded and the epoch is bumped; in-flight queries finish against
     /// the old state. No-op (and no invalidation) when nothing changed.
     ///
-    /// For a session opened with [`Session::from_object_path`] the `.clao`
-    /// file is re-read instead (no provider needed — pass `None`).
+    /// For a session over a `.clao` file the file is re-read instead (no
+    /// provider needed — pass `None`).
     ///
     /// A failed reload never touches the resident state: queries keep
     /// answering from the last good snapshot, the session reports
@@ -1168,7 +1078,7 @@ impl Session {
             Ok(_) => self.clear_degraded(),
             // Usage errors don't mean the data went bad; only real rebuild
             // failures enter degraded mode.
-            Err(SessionError::NoSources | SessionError::NoProvider) => {}
+            Err(SessionError::NoProvider) => {}
             Err(e) => self.note_reload_failure(&e.to_string()),
         }
         result
@@ -1182,7 +1092,6 @@ impl Session {
         sp: &mut cla_obs::Span<'_>,
     ) -> Result<ReloadReport, SessionError> {
         let (fresh, from_snap, recompiled) = match inputs {
-            ReloadInputs::None => return Err(SessionError::NoSources),
             ReloadInputs::Files(sources) => {
                 let fs = fs.ok_or(SessionError::NoProvider)?;
                 // A lenient session retries every quarantined file on each
@@ -1196,41 +1105,13 @@ impl Session {
                     .iter()
                     .map(|q| q.file.clone())
                     .collect();
-                let mut recompiled = Vec::new();
-                let mut ledger = Vec::new();
-                for f in sources.files.clone() {
-                    let text = fs
-                        .read(&f)
-                        .ok_or_else(|| SessionError::MissingFile(f.clone()))?;
-                    let h = hash_text(&text);
-                    if !force && sources.hashes.get(&f) == Some(&h) && !retry.contains(&f) {
-                        continue;
-                    }
-                    let (_, unit) =
-                        compile_one(fs, &f, &sources.pp, &sources.lower, sources.lenient)?;
-                    match unit {
-                        Ok(unit) => {
-                            sources.units.upsert(f.clone(), unit);
-                            recompiled.push(f.clone());
-                        }
-                        Err(reason) => {
-                            note_quarantine(&reason);
-                            sources
-                                .units
-                                .upsert(f.clone(), cla_ir::CompiledUnit::new(&f));
-                            ledger.push(Quarantined {
-                                file: f.clone(),
-                                reason,
-                            });
-                        }
-                    }
-                    sources.hashes.insert(f, h);
-                }
-                // No text changed and no quarantined file recovered: the
+                let (recompiled, ledger) = sources.rebuild(fs, force, &retry)?;
+                // No closure changed and no quarantined file recovered: the
                 // linked program would be byte-identical, so keep the state
                 // (and the result cache) as is.
                 let still_failing: HashSet<&str> = ledger.iter().map(|q| q.file.as_str()).collect();
-                let unchanged = recompiled.is_empty()
+                let unchanged = !force
+                    && recompiled.is_empty()
                     && still_failing.len() == retry.len()
                     && retry.iter().all(|f| still_failing.contains(f.as_str()));
                 if unchanged {
@@ -1243,13 +1124,8 @@ impl Session {
                         quarantined: ledger.into_iter().map(|q| q.file).collect(),
                     });
                 }
-                let (program, _) = sources.units.link(&sources.program);
-                let bytes = write_object(&program);
-                let prov = object_provenance(&sources.program, fnv64(&bytes), self.solve_opts);
-                let db = Database::open(bytes).map_err(SessionError::Db)?;
-                let (mut loaded, from_snap) =
-                    load_or_snapshot(db, self.solve_opts, self.snap_store.as_ref(), &prov);
-                loaded.quarantined = ledger;
+                let (loaded, from_snap) =
+                    sources.load(ledger, self.solve_opts, self.snap_store.as_ref())?;
                 (loaded, from_snap, recompiled)
             }
             ReloadInputs::Object { path, hash } => {
@@ -1606,6 +1482,22 @@ mod tests {
         fs
     }
 
+    /// A strict or lenient session over in-memory sources.
+    fn open_mem(fs: &MemoryFs, files: &[&str], lenient: bool) -> Result<Session, SessionError> {
+        Session::open(&SessionSpec {
+            source: SessionSource::Files {
+                fs: Arc::new(fs.clone()),
+                files: files.iter().map(|f| f.to_string()).collect(),
+                pp: PpOptions::default(),
+                lower: LowerOptions::default(),
+                lenient,
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: None,
+            jobs: 1,
+        })
+    }
+
     fn sample_session() -> (Session, MemoryFs) {
         let fs = memfs(&[
             (
@@ -1617,14 +1509,7 @@ mod tests {
                 "extern int *p; extern int **pp; int *q; void fb(void) { q = *pp; }",
             ),
         ]);
-        let s = Session::from_files(
-            &fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        )
-        .unwrap();
+        let s = open_mem(&fs, &["a.c", "b.c"], false).unwrap();
         (s, fs)
     }
 
@@ -1658,14 +1543,7 @@ mod tests {
     #[test]
     fn depend_queries() {
         let fs = memfs(&[("m.c", "int t; int a, b; void f(void) { a = t; b = a; }")]);
-        let s = Session::from_files(
-            &fs,
-            &["m.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        )
-        .unwrap();
+        let s = open_mem(&fs, &["m.c"], false).unwrap();
         let ans = s.depend("t", &[]).unwrap();
         let names: Vec<&str> = ans.dependents.iter().map(|d| d.name.as_str()).collect();
         assert!(names.contains(&"a") && names.contains(&"b"), "{names:?}");
@@ -1716,28 +1594,6 @@ mod tests {
         );
         assert_eq!(s.stats().reloads, 1);
         assert_eq!(s.stats().epoch, 1);
-    }
-
-    #[test]
-    fn reload_needs_sources() {
-        let fs = memfs(&[("a.c", "int x; int *p; void f(void) { p = &x; }")]);
-        let (unit, _) =
-            compile_file(&fs, "a.c", &PpOptions::default(), &LowerOptions::default()).unwrap();
-        let db = Database::open(write_object(&unit)).unwrap();
-        let s = Session::from_database(db, SolveOptions::default());
-        assert!(matches!(
-            s.reload(Some(&fs), false),
-            Err(SessionError::NoSources)
-        ));
-        assert_eq!(
-            s.points_to("p")
-                .unwrap()
-                .targets
-                .iter()
-                .map(|t| t.name.clone())
-                .collect::<Vec<_>>(),
-            vec!["x"]
-        );
     }
 
     #[test]
@@ -1809,16 +1665,7 @@ mod tests {
             ),
             ("b.c", "int broken = ;"),
         ]);
-        let s = Session::from_files_lenient(
-            &fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-            None,
-            1,
-        )
-        .unwrap();
+        let s = open_mem(&fs, &["a.c", "b.c"], true).unwrap();
         assert_eq!(s.health(), Health::Partial);
         let ledger = s.quarantined();
         assert_eq!(ledger.len(), 1);
@@ -1867,13 +1714,7 @@ mod tests {
     #[test]
     fn strict_session_still_fails_fast() {
         let fs = memfs(&[("a.c", "int x;"), ("b.c", "int broken = ;")]);
-        let r = Session::from_files(
-            &fs,
-            &["a.c", "b.c"],
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        );
+        let r = open_mem(&fs, &["a.c", "b.c"], false);
         assert!(matches!(r, Err(SessionError::Compile(_))));
     }
 

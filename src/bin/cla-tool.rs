@@ -779,6 +779,98 @@ fn cmd_depend(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The session-building flags `serve` and `hub` share.
+struct SessionFlags {
+    include_dirs: Vec<String>,
+    defines: Vec<(String, String)>,
+    lower: LowerOptions,
+    lenient: bool,
+    jobs: usize,
+}
+
+impl SessionFlags {
+    /// Takes `-I`, `-D`, `--lenient` and `--jobs N` (default 1).
+    fn take(a: &mut Args<'_>) -> Result<SessionFlags, String> {
+        let include_dirs = a.take_values("-I")?;
+        let defines = a
+            .take_values("-D")?
+            .into_iter()
+            .map(|d| match d.split_once('=') {
+                Some((n, v)) => (n.to_string(), v.to_string()),
+                None => (d, "1".to_string()),
+            })
+            .collect();
+        let lenient = a.take_flag("--lenient");
+        let jobs = match a.take_values("--jobs")?.pop() {
+            Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
+            None => 1,
+        };
+        Ok(SessionFlags {
+            include_dirs,
+            defines,
+            lower: LowerOptions::default(),
+            lenient,
+            jobs,
+        })
+    }
+
+    /// The spec for one session over `paths`: a lone `.clao` serves that
+    /// linked object (reload re-reads it); otherwise each path is a C
+    /// source or a directory whose `.c` files join in name order (the
+    /// directory also joins the include path, ahead of `-I`).
+    fn spec(
+        &self,
+        paths: &[String],
+        snapshot_dir: Option<std::path::PathBuf>,
+    ) -> Result<SessionSpec, String> {
+        let source = match paths {
+            [object] if object.ends_with(".clao") => SessionSource::Object {
+                path: object.into(),
+            },
+            _ => {
+                let (mut files, mut dirs) = (Vec::new(), Vec::new());
+                for path in paths {
+                    let meta = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?;
+                    if !meta.is_dir() {
+                        files.push(path.clone());
+                        continue;
+                    }
+                    let mut found: Vec<String> = std::fs::read_dir(path)
+                        .map_err(|e| format!("{path}: {e}"))?
+                        .filter_map(|e| e.ok())
+                        .map(|e| e.path().to_string_lossy().into_owned())
+                        .filter(|p| p.ends_with(".c"))
+                        .collect();
+                    if found.is_empty() {
+                        return Err(format!("no .c files in {path}"));
+                    }
+                    found.sort();
+                    files.extend(found);
+                    dirs.push(path.clone());
+                }
+                dirs.extend(self.include_dirs.iter().cloned());
+                SessionSource::Files {
+                    fs: std::sync::Arc::new(OsFs),
+                    files,
+                    pp: PpOptions {
+                        include_dirs: dirs,
+                        defines: self.defines.clone(),
+                        ..PpOptions::default()
+                    },
+                    lower: self.lower.clone(),
+                    lenient: self.lenient,
+                }
+            }
+        };
+        Ok(SessionSpec {
+            source,
+            solve: SolveOptions::default(),
+            snapshot_dir,
+            jobs: self.jobs,
+        })
+    }
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
 
@@ -787,74 +879,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .take_values("--socket")?
         .pop()
         .ok_or("serve needs --socket PATH")?;
-    let include_dirs = a.take_values("-I")?;
-    let defines = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
-    let field_independent = a.take_flag("--field-independent");
-    let lenient = a.take_flag("--lenient");
-    let jobs: usize = match a.take_values("--jobs")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
-        None => 1,
-    };
+    let mut flags = SessionFlags::take(&mut a)?;
+    if a.take_flag("--field-independent") {
+        flags.lower = flags.lower.field_independent();
+    }
     let snapshot_dir = a.take_values("--snapshot")?.pop();
-    let snap_dir = snapshot_dir.as_deref().map(std::path::Path::new);
     let pos = a.positional();
     if pos.is_empty() {
         return Err("serve needs a .clao file or C sources".to_string());
     }
 
-    // A single .clao positional serves the linked database; `reload`
-    // re-reads the file, and a corrupt rewrite degrades (last-good answers)
-    // instead of wedging the server. C sources are compiled in-process.
-    let (session, reload_fs): (Session, Option<Arc<dyn FileProvider + Send + Sync>>) =
-        if pos.len() == 1 && pos[0].ends_with(".clao") {
-            let session = Session::from_object_path_with(
-                std::path::Path::new(&pos[0]),
-                SolveOptions::default(),
-                snap_dir,
-            )
-            .map_err(|e| e.to_string())?;
-            (session, None)
-        } else {
-            let pp = PpOptions {
-                include_dirs,
-                defines,
-                ..PpOptions::default()
-            };
-            let lower = if field_independent {
-                LowerOptions::default().field_independent()
-            } else {
-                LowerOptions::default()
-            };
-            let files: Vec<&str> = pos.iter().map(String::as_str).collect();
-            let build = if lenient {
-                Session::from_files_lenient
-            } else {
-                Session::from_files_jobs
-            };
-            let session = build(
-                &OsFs,
-                &files,
-                &pp,
-                &lower,
-                SolveOptions::default(),
-                snap_dir,
-                jobs,
-            )
-            .map_err(|e| e.to_string())?;
-            for q in session.quarantined() {
-                eprintln!("cla-tool: quarantined {}: {}", q.file, q.reason);
-            }
-            (session, Some(Arc::new(OsFs)))
-        };
-
-    if snap_dir.is_some() {
+    // A `.clao` session's `reload` re-reads the file, and a corrupt rewrite
+    // degrades (last-good answers) instead of wedging the server. C
+    // sources are compiled in-process and reloaded through the same files.
+    let spec = flags.spec(&pos, snapshot_dir.as_ref().map(Into::into))?;
+    let session = Session::open(&spec).map_err(|e| e.to_string())?;
+    for q in session.quarantined() {
+        eprintln!("cla-tool: quarantined {}: {}", q.file, q.reason);
+    }
+    if snapshot_dir.is_some() {
         eprintln!(
             "cla-tool: snapshot {}",
             if session.snapshot_loaded() {
@@ -864,16 +907,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         );
     }
-    let handle = cla::serve::serve_with(
-        Arc::new(session),
-        reload_fs,
-        std::path::Path::new(&socket),
-        cla::serve::ServeOptions {
-            jobs,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
+    let reload_fs = match spec.source {
+        SessionSource::Files { fs, .. } => Some(fs),
+        SessionSource::Object { .. } => None,
+    };
+    let handle = cla::serve::serve(Arc::new(session), reload_fs, std::path::Path::new(&socket))
+        .map_err(|e| format!("cannot bind `{socket}`: {e}"))?;
     eprintln!("cla-tool: serving on {socket} (send {{\"cmd\":\"shutdown\"}} to stop)");
     let stats = handle.join();
     println!("{}", stats.to_json().encode());
@@ -990,7 +1029,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// of C sources. With `--snapshot-root DIR` every session evicts to (and
 /// warm-starts from) `DIR/NAME/graph.clasnap`.
 fn cmd_hub(args: &[String]) -> Result<(), String> {
-    use cla::hub::{hub_serve, Hub, HubOptions, SessionSource, SessionSpec};
+    use cla::hub::{hub_serve, Hub, HubOptions};
     use std::sync::Arc;
 
     let mut a = Args::new(args);
@@ -1010,20 +1049,7 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
         Some(v) => v.parse().map_err(|_| "--rebuild-slots needs a number")?,
         None => 2,
     };
-    let jobs: usize = match a.take_values("--jobs")?.pop() {
-        Some(v) => v.parse().map_err(|_| "--jobs needs a number")?,
-        None => 1,
-    };
-    let lenient = a.take_flag("--lenient");
-    let include_dirs = a.take_values("-I")?;
-    let defines: Vec<(String, String)> = a
-        .take_values("-D")?
-        .into_iter()
-        .map(|d| match d.split_once('=') {
-            Some((n, v)) => (n.to_string(), v.to_string()),
-            None => (d, "1".to_string()),
-        })
-        .collect();
+    let flags = SessionFlags::take(&mut a)?;
     let snapshot_root = a.take_values("--snapshot-root")?.pop();
     let pos = a.positional();
     if pos.is_empty() {
@@ -1031,13 +1057,10 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
     }
 
     let hub = Arc::new(Hub::new(HubOptions {
-        serve: cla::serve::ServeOptions {
-            jobs,
-            ..Default::default()
-        },
         capacity,
         max_inflight,
         rebuild_slots,
+        ..HubOptions::default()
     }));
     for entry in &pos {
         let (name, path) = entry
@@ -1046,51 +1069,9 @@ fn cmd_hub(args: &[String]) -> Result<(), String> {
         let snapshot_dir = snapshot_root
             .as_ref()
             .map(|root| std::path::Path::new(root).join(name));
-        let source = if path.ends_with(".clao") {
-            SessionSource::Object {
-                path: std::path::PathBuf::from(path),
-            }
-        } else {
-            let meta =
-                std::fs::metadata(path).map_err(|e| format!("session `{name}`: {path}: {e}"))?;
-            let (files, mut dirs) = if meta.is_dir() {
-                let mut files: Vec<String> = std::fs::read_dir(path)
-                    .map_err(|e| format!("session `{name}`: {path}: {e}"))?
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path().to_string_lossy().into_owned())
-                    .filter(|p| p.ends_with(".c"))
-                    .collect();
-                files.sort();
-                if files.is_empty() {
-                    return Err(format!("session `{name}`: no .c files in {path}"));
-                }
-                (files, vec![path.to_string()])
-            } else {
-                (vec![path.to_string()], Vec::new())
-            };
-            dirs.extend(include_dirs.iter().cloned());
-            SessionSource::Files {
-                fs: Arc::new(OsFs),
-                files,
-                pp: PpOptions {
-                    include_dirs: dirs,
-                    defines: defines.clone(),
-                    ..PpOptions::default()
-                },
-                lower: LowerOptions::default(),
-                lenient,
-            }
-        };
-        let (epoch, warm) = hub
-            .open(
-                name,
-                SessionSpec {
-                    source,
-                    solve: SolveOptions::default(),
-                    snapshot_dir,
-                    jobs,
-                },
-            )
+        let (epoch, warm) = flags
+            .spec(&[path.to_string()], snapshot_dir)
+            .and_then(|spec| hub.open(name, spec).map_err(|e| e.to_string()))
             .map_err(|e| format!("session `{name}`: {e}"))?;
         eprintln!(
             "cla-tool: opened session {name} (epoch {epoch}{})",

@@ -72,12 +72,12 @@ pub mod prelude {
     pub use cla_core::{solve_database, solve_unit, PointsTo, SolveOptions};
     pub use cla_depend::{DependOptions, DependenceAnalysis};
     pub use cla_genc::{generate_to_dir, generate_with, measure_tree, GenReport, Measure, Profile};
-    pub use cla_hub::{Hub, HubOptions, SessionSource, SessionSpec};
+    pub use cla_hub::{Hub, HubOptions};
     pub use cla_ir::{
         compile_file, compile_source, AssignKind, CompiledUnit, FieldModel, LowerOptions, ObjId,
         ObjKind, Strength,
     };
-    pub use cla_serve::{Client, Endpoint, Session, SessionStats};
+    pub use cla_serve::{Client, Endpoint, Session, SessionSource, SessionSpec, SessionStats};
     pub use cla_snap::{DiskCache, Snapshot, SnapshotStore};
     pub use cla_workload::{by_name, generate, GenOptions, PAPER_BENCHMARKS};
 }

@@ -557,3 +557,116 @@ fn stress_many_clients_many_sessions_racing_reloads_and_evictions() {
 
     handle.stop();
 }
+
+/// A header edit reaches a hub tenant through a plain `reload`: the
+/// including file recompiles and the tenant answers from the new program.
+#[test]
+fn header_edit_reload_over_a_hub_tenant() {
+    let dir = TempDir::new("header");
+    let write = |name: &str, text: &str| std::fs::write(dir.path().join(name), text).unwrap();
+    write("h.h", "#define TARGET x\n");
+    write(
+        "a.c",
+        "#include \"h.h\"\nint x, y; int *p; void f(void) { p = &TARGET; }\n",
+    );
+    write("b.c", "int unrelated;\n");
+    let file = |name: &str| dir.path().join(name).to_string_lossy().into_owned();
+    let hub = Arc::new(Hub::new(HubOptions::default()));
+    let source = SessionSource::Files {
+        fs: Arc::new(OsFs),
+        files: vec![file("a.c"), file("b.c")],
+        pp: PpOptions {
+            include_dirs: vec![dir.path().to_string_lossy().into_owned()],
+            ..PpOptions::default()
+        },
+        lower: LowerOptions::default(),
+        lenient: false,
+    };
+    hub.open("hdr", spec(source, None)).unwrap();
+    let handle = hub_serve(Arc::clone(&hub), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(&Endpoint::Tcp(handle.addr().to_string())).unwrap();
+    assert_eq!(
+        target_names(&ask(&mut client, &points_to("hdr", "p"))),
+        BTreeSet::from(["x".to_string()])
+    );
+
+    write("h.h", "#define TARGET y\n");
+    let reply = ask(
+        &mut client,
+        &obj([("cmd", "reload".into()), ("session", "hdr".into())]),
+    );
+    assert_eq!(
+        reply.get("relinked").and_then(Value::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    let recompiled: Vec<&str> = reply
+        .get("recompiled")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(Value::as_str)
+        .collect();
+    assert_eq!(recompiled, [file("a.c")]);
+    assert_eq!(
+        target_names(&ask(&mut client, &points_to("hdr", "p"))),
+        BTreeSet::from(["y".to_string()])
+    );
+    handle.stop();
+}
+
+/// One deeply nested request line — well under the request-size cap —
+/// must get a typed error from the JSON parser, the session dispatcher,
+/// and a live hub connection alike, never a stack overflow that takes
+/// every tenant down with it.
+#[test]
+fn deeply_nested_request_gets_typed_errors_and_other_tenants_answer() {
+    let hub = Arc::new(Hub::new(HubOptions::default()));
+    for (name, target) in [("victim", "x"), ("bystander", "y")] {
+        let src = format!("int x; int y; int *p; void f(void) {{ p = &{target}; }}");
+        hub.open(name, spec(mem_source(&src), None)).unwrap();
+    }
+    let line = "[".repeat(100_000);
+    let is_nesting_error = |reply: &Value| {
+        reply.get("ok").and_then(Value::as_bool) == Some(false)
+            && reply
+                .get("error")
+                .and_then(Value::as_str)
+                .is_some_and(|e| e.contains("malformed request") && e.contains("nesting"))
+    };
+
+    let e = cla::serve::json::parse(&line).unwrap_err();
+    assert!(e.msg.contains("nesting"), "{e}");
+    let reply = hub
+        .with_session("victim", |session, fs| {
+            let flag = std::sync::atomic::AtomicBool::new(false);
+            cla::serve::handle_request(session, fs, &line, &flag, &Default::default())
+        })
+        .unwrap();
+    assert!(is_nesting_error(&reply), "{reply:?}");
+    assert!(is_nesting_error(&dispatch(&hub, &line)));
+
+    let handle = hub_serve(Arc::clone(&hub), "127.0.0.1:0").unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    use std::io::{BufRead as _, Write as _};
+    raw.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let reply = cla::serve::json::parse(reply.trim()).unwrap();
+    assert!(is_nesting_error(&reply), "{reply:?}");
+
+    // The hub survived: the same connection and a fresh one both answer.
+    let query = points_to("victim", "p").encode();
+    raw.write_all(format!("{query}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let reply = cla::serve::json::parse(reply.trim()).unwrap();
+    assert_eq!(target_names(&reply), BTreeSet::from(["x".to_string()]));
+    let mut client = Client::connect(&Endpoint::Tcp(handle.addr().to_string())).unwrap();
+    assert_eq!(
+        target_names(&ask(&mut client, &points_to("bystander", "p"))),
+        BTreeSet::from(["y".to_string()])
+    );
+    handle.stop();
+}

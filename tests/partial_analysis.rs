@@ -111,6 +111,42 @@ fn hostile_tree_quarantines_exactly_and_matches_clean_subset() {
     let want = name_pairs(&subset);
     assert!(!want.is_empty(), "generated tree must produce answers");
     assert_eq!(got, want, "partial answers diverge from the clean subset");
+
+    // A lenient session over the same tree compiles through the same
+    // quarantine path: the same ledger, and the same answers, id for id.
+    let session = Session::open(&SessionSpec {
+        source: SessionSource::Files {
+            fs: std::sync::Arc::new(fs.clone()),
+            files: files.clone(),
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: true,
+        },
+        solve: SolveOptions::default(),
+        snapshot_dir: None,
+        jobs: 4,
+    })
+    .unwrap();
+    let ledger: Vec<String> = session.quarantined().into_iter().map(|q| q.file).collect();
+    assert_eq!(ledger, hostile, "session quarantine ledger");
+    let db = &lenient.database;
+    // Internal objects (`f$1`, temporaries) are not addressable by name.
+    for var in session.pointer_variables() {
+        if db.targets(&var).is_empty() {
+            continue;
+        }
+        let mut expected: Vec<u32> = db
+            .targets(&var)
+            .iter()
+            .flat_map(|&o| lenient.points_to.points_to(o).iter().map(|t| t.0))
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        let answer = session.points_to(&var).unwrap();
+        assert!(answer.partial);
+        let got: Vec<u32> = answer.targets.iter().map(|t| t.id).collect();
+        assert_eq!(got, expected, "session and analyze disagree on pts({var})");
+    }
 }
 
 /// A compact order-independent fingerprint of the full by-name points-to

@@ -316,3 +316,93 @@ fn error_reporting() {
     let msg = format!("{err}");
     assert!(msg.contains("parse error"), "{msg}");
 }
+
+/// A file provider that counts reads per path.
+struct CountingFs {
+    inner: MemoryFs,
+    reads: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
+}
+
+impl CountingFs {
+    fn new(inner: MemoryFs) -> CountingFs {
+        CountingFs {
+            inner,
+            reads: std::sync::Mutex::default(),
+        }
+    }
+
+    /// Reads per path since the last call, resetting the counts.
+    fn take(&self) -> std::collections::BTreeMap<String, usize> {
+        std::mem::take(&mut *self.reads.lock().unwrap())
+    }
+}
+
+impl FileProvider for CountingFs {
+    fn read(&self, path: &str) -> Option<std::sync::Arc<str>> {
+        *self
+            .reads
+            .lock()
+            .unwrap()
+            .entry(path.to_string())
+            .or_default() += 1;
+        self.inner.read(path)
+    }
+}
+
+/// A snapshot hook that never has a snapshot: forces the keyed compile
+/// path without persisting anything.
+struct NoSnapshots;
+
+impl cla::core::pipeline::SnapshotHook for NoSnapshots {
+    fn load(&self, _: &cla::core::pipeline::Provenance) -> Option<cla::core::SealedGraph> {
+        None
+    }
+    fn save(&self, _: &cla::core::pipeline::Provenance, _: &cla::core::SealedGraph, _: &[String]) {}
+}
+
+#[test]
+fn keyed_compile_preprocesses_each_file_once() {
+    let fs = CountingFs::new(fs_of(&[
+        ("h.h", "extern int *p;\n"),
+        (
+            "a.c",
+            "#include \"h.h\"\nint x; void fa(void) { p = &x; }\n",
+        ),
+        (
+            "b.c",
+            "#include \"h.h\"\nint *p, *q; void fb(void) { q = p; }\n",
+        ),
+    ]));
+    let files = ["a.c", "b.c"];
+    let plain = analyze(&fs, &files, &PipelineOptions::default()).unwrap();
+    // One preprocess per file (a header is opened once per including file;
+    // how often the preprocessor touches it there is its own business).
+    let once = fs.take();
+    assert_eq!(
+        (once["a.c"], once["b.c"]),
+        (1, 1),
+        "plain analyze: {once:?}"
+    );
+
+    // The snapshot hook needs closure keys, so this run takes the keyed
+    // compile: it must compile from the preprocess that computed the key,
+    // not preprocess a second time.
+    for parallel_compile in [false, true] {
+        let opts = PipelineOptions {
+            parallel_compile,
+            jobs: 2,
+            ..PipelineOptions::default()
+        };
+        let hooks = AnalyzeHooks {
+            snapshots: Some(&NoSnapshots),
+            ..AnalyzeHooks::default()
+        };
+        let keyed = analyze_with(&fs, &files, &opts, &hooks).unwrap();
+        assert_eq!(
+            fs.take(),
+            once,
+            "keyed analyze (parallel={parallel_compile})"
+        );
+        assert_eq!(keyed.points_to, plain.points_to);
+    }
+}

@@ -58,16 +58,31 @@ fn write_sources(tag: &str, files: &[(&str, &str)]) -> (PathBuf, Vec<String>) {
     (dir, paths)
 }
 
+/// Opens a strict session over on-disk sources (or a lone `.clao`).
+fn open_session(paths: &[String]) -> Session {
+    let source = match paths {
+        [object] if object.ends_with(".clao") => SessionSource::Object {
+            path: object.into(),
+        },
+        _ => SessionSource::Files {
+            fs: Arc::new(OsFs),
+            files: paths.to_vec(),
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: false,
+        },
+    };
+    Session::open(&SessionSpec {
+        source,
+        solve: SolveOptions::default(),
+        snapshot_dir: None,
+        jobs: 1,
+    })
+    .unwrap()
+}
+
 fn start_server(tag: &str, paths: &[String]) -> cla::serve::ServerHandle {
-    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files(
-        &OsFs,
-        &files,
-        &PpOptions::default(),
-        &LowerOptions::default(),
-        SolveOptions::default(),
-    )
-    .unwrap();
+    let session = open_session(paths);
     let socket =
         std::env::temp_dir().join(format!("cla-serve-it-{tag}-{}.sock", std::process::id()));
     cla::serve::serve(Arc::new(session), Some(Arc::new(OsFs)), &socket).unwrap()
@@ -623,17 +638,7 @@ fn degraded_reload_serves_last_good_and_recovers_automatically() {
             ("b.c", "extern int *p; int *q; void fb(void) { q = p; }"),
         ],
     );
-    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Arc::new(
-        Session::from_files(
-            &OsFs,
-            &files,
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-        )
-        .unwrap(),
-    );
+    let session = Arc::new(open_session(&paths));
     // Tiny backoff so the automatic retry happens within the test.
     session.set_reload_backoff(
         std::time::Duration::from_millis(10),
@@ -744,7 +749,7 @@ fn object_backed_session_survives_a_corrupt_rewrite() {
     let obj_path = dir.join("prog.clao");
     std::fs::write(&obj_path, &bytes).unwrap();
 
-    let session = Arc::new(Session::from_object_path(&obj_path, SolveOptions::default()).unwrap());
+    let session = Arc::new(open_session(&[obj_path.to_string_lossy().into_owned()]));
     let socket = dir.join("objpath.sock");
     let server = cla::serve::serve(Arc::clone(&session), None, &socket).unwrap();
     let mut c = UnixStream::connect(server.path()).unwrap();
@@ -849,15 +854,7 @@ fn query_panic_kills_one_connection_not_the_server() {
             ("b.c", "extern int *p; int *q; void fb(void) { q = p; }"),
         ],
     );
-    let files: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let session = Session::from_files(
-        &OsFs,
-        &files,
-        &PpOptions::default(),
-        &LowerOptions::default(),
-        SolveOptions::default(),
-    )
-    .unwrap();
+    let session = open_session(&paths);
     let socket = dir.join("panic.sock");
     let server = cla::serve::serve_with(
         Arc::new(session),
@@ -930,4 +927,44 @@ fn depend_over_socket_matches_in_process() {
     );
     server.stop();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Editing only a header must be caught by a plain (non-forced) reload:
+/// change detection keys each source by its whole preprocessed closure,
+/// so the including file recompiles and the answer follows the header.
+#[test]
+fn reload_catches_header_edits() {
+    let mut fs = MemoryFs::new();
+    fs.add("h.h", "#define TARGET x\n");
+    fs.add(
+        "a.c",
+        "#include \"h.h\"\nint x, y; int *p; void f(void) { p = &TARGET; }\n",
+    );
+    fs.add("b.c", "int unrelated;\n");
+    let session = Session::open(&SessionSpec {
+        source: SessionSource::Files {
+            fs: Arc::new(fs.clone()),
+            files: vec!["a.c".to_string(), "b.c".to_string()],
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: false,
+        },
+        solve: SolveOptions::default(),
+        snapshot_dir: None,
+        jobs: 1,
+    })
+    .unwrap();
+    let names = |s: &Session| -> Vec<String> {
+        let a = s.points_to("p").unwrap();
+        a.targets.iter().map(|t| t.name.clone()).collect()
+    };
+    assert_eq!(names(&session), ["x"]);
+
+    fs.add("h.h", "#define TARGET y\n");
+    let r = session.reload(Some(&fs), false).unwrap();
+    assert!(r.relinked, "header edit missed: {r:?}");
+    assert_eq!(r.recompiled, ["a.c"], "only the including file recompiles");
+    assert_eq!(names(&session), ["y"]);
+    // Nothing changed since: the next reload is a no-op again.
+    assert!(!session.reload(Some(&fs), false).unwrap().relinked);
 }

@@ -7,6 +7,7 @@
 use cla::core::pipeline::CompileCache as _;
 use cla::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A test directory that cleans up after itself even on panic.
 struct TempDir(PathBuf);
@@ -175,17 +176,20 @@ fn serve_session_warm_starts_from_the_snapshot_directory() {
         src_a.to_string_lossy().into_owned(),
         src_b.to_string_lossy().into_owned(),
     ];
-    let refs: Vec<&str> = files.iter().map(String::as_str).collect();
 
     let build = |snap: Option<&Path>| {
-        Session::from_files_with(
-            &OsFs,
-            &refs,
-            &PpOptions::default(),
-            &LowerOptions::default(),
-            SolveOptions::default(),
-            snap,
-        )
+        Session::open(&SessionSpec {
+            source: SessionSource::Files {
+                fs: Arc::new(OsFs),
+                files: files.to_vec(),
+                pp: PpOptions::default(),
+                lower: LowerOptions::default(),
+                lenient: false,
+            },
+            solve: SolveOptions::default(),
+            snapshot_dir: snap.map(Path::to_path_buf),
+            jobs: 1,
+        })
         .unwrap()
     };
 
@@ -451,4 +455,56 @@ fn concurrent_snapshot_save_and_load_share_a_directory() {
     );
     assert_eq!(loads, 1);
     assert_eq!(mismatches, 0);
+}
+
+/// `analyze --snapshot D` and a serving session over the same files share
+/// one provenance scheme (per-file preprocessed-closure hashes), so a
+/// session opened on `D` right after a batch run starts warm — and, since
+/// both link the same units in the same order, answers with the same
+/// object ids.
+#[test]
+fn session_starts_warm_from_a_batch_analyze_snapshot() {
+    let dir = TempDir::new("analyze-then-serve");
+    let (fs, names) = workload_fs("nethack", 0.05, 11);
+    let (batch, _) = analyze_snapshotted(&fs, &names, dir.path());
+    assert!(!batch.report.snapshot_loaded);
+
+    let session = Session::open(&SessionSpec {
+        source: SessionSource::Files {
+            fs: Arc::new(fs.clone()),
+            files: names.clone(),
+            pp: PpOptions::default(),
+            lower: LowerOptions::default(),
+            lenient: false,
+        },
+        solve: SolveOptions::default(),
+        snapshot_dir: Some(dir.path().to_path_buf()),
+        jobs: 1,
+    })
+    .unwrap();
+    assert!(
+        session.snapshot_loaded(),
+        "session re-solved a fresh batch snapshot"
+    );
+
+    let db = &batch.database;
+    let vars = session.pointer_variables();
+    assert!(!vars.is_empty());
+    for var in vars.iter().filter(|v| !db.targets(v).is_empty()) {
+        let mut expected: Vec<u32> = db
+            .targets(var)
+            .iter()
+            .flat_map(|&o| batch.points_to.points_to(o).iter().map(|t| t.0))
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        let got: Vec<u32> = session
+            .points_to(var)
+            .unwrap()
+            .targets
+            .iter()
+            .map(|t| t.id)
+            .collect();
+        assert_eq!(got, expected, "pts({var})");
+    }
 }
